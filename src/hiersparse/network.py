@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dsygst
 
 from .errors import DegenerateGCVError, IllConditionedScaleError, ScaleUnfitError
 from .kernel import kernel_matrix
@@ -138,10 +139,14 @@ class _PencilLine:
     """GCV along one penalty weight, all other weights frozen.
 
     The line of systems C + base + n*lam*Psi_i is whitened against its
-    lam_floor member and diagonalized once; every lambda evaluation is then
-    O(n l): tr U = sum_j ||Btilde_j||^2 / (1 + (lam - floor) gamma_j) and the
-    fitted values are a diagonal reweighting of Btilde^T Y.  Valid for every
-    lam > 0 since the whitened penalty spectrum is capped at 1/lam_floor.
+    lam_floor member S = L L^T: LAPACK's xSYGST reduces n*Psi_i to
+    K = L^{-1} (n Psi_i) L^{-T} in one blocked pass, ``eigh`` diagonalizes
+    K = W diag(gamma) W^T, and one triangular solve back-transforms the
+    eigenvectors to V = L^{-T} W, so Btilde = B V.  Every lambda evaluation
+    is then O(n l): tr U = sum_j ||Btilde_j||^2 / (1 + (lam - floor) gamma_j)
+    and the fitted values are a diagonal reweighting of Btilde^T Y.  Valid
+    for every lam > 0 since the whitened penalty spectrum is capped at
+    1/lam_floor.
     """
 
     def __init__(self, C, B, Y, psi, n, lam_floor, base=None):
@@ -158,12 +163,13 @@ class _PencilLine:
             self.ok = False
             return
         L = factor[0]
-        half = solve_triangular(L, n * psi, lower=True, check_finite=False)
-        K = solve_triangular(L, half.T, lower=True, check_finite=False)
-        gamma, W = np.linalg.eigh((K + K.T) / 2.0)
+        K, info = dsygst(n * psi, L, itype=1, lower=1)
+        if info != 0:
+            raise LinAlgError(f"dsygst: illegal value in argument {-info}")
+        gamma, W = np.linalg.eigh(K, UPLO="L")  # xSYGST fills the lower triangle only
         self.gamma = np.maximum(gamma, 0.0)
-        Z = solve_triangular(L, B.T, lower=True, check_finite=False)
-        self.B_tilde = Z.T @ W
+        V = solve_triangular(L, W, trans="T", lower=True, check_finite=False)
+        self.B_tilde = B @ V
         self.zc = self.B_tilde.T @ Y
         self.cdiag = np.sum(self.B_tilde**2, axis=0)  # diag of whitened B^T B
 
@@ -213,6 +219,13 @@ def optimize_lambda(
     Coarse log10 grid (tensorized for d <= 2, coordinate descent above),
     then per-coordinate golden-section refinement.  Returns (Lambda, cost);
     cost is +inf when every candidate was degenerate.
+
+    Each search along coordinate i runs on a ``_PencilLine`` built for the
+    other coordinates' log-weights.  The last line built for each coordinate
+    is kept with those weights as its key and reused while they are
+    unchanged; for d = 2 the grid line holding the incumbent is kept in its
+    place, which is the line refinement starts on.  At most d + 1 lines are
+    held at once.
     """
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
@@ -222,31 +235,42 @@ def optimize_lambda(
     grid = LOG_LAMBDA_GRID
     lam_floor = 10.0 ** grid[0]
     C = B.T @ B
+    lines: dict[int, tuple[tuple[float, ...], _PencilLine]] = {}
 
     def line_for(i: int, point: tuple[float, ...]) -> _PencilLine:
+        key = point[:i] + point[i + 1 :]
+        held = lines.get(i)
+        if held is not None and held[0] == key:
+            return held[1]
         base = None
         if d > 1:
             base = np.zeros_like(C)
             for j, psi in enumerate(psis):
                 if j != i:
                     base += (n * 10.0 ** point[j]) * psi
-        return _PencilLine(C, B, Y, psis[i], n, lam_floor, base=base)
-
-    single_line = line_for(0, (grid[0],)) if d == 1 else None
+        line = _PencilLine(C, B, Y, psis[i], n, lam_floor, base=base)
+        lines[i] = (key, line)
+        return line
 
     best_point, best_cost = None, np.inf
     if d == 1:
+        line = line_for(0, (grid[0],))
         for g in grid:
-            c = single_line.cost_at(10.0**g)
+            c = line.cost_at(10.0**g)
             if c < best_cost:
                 best_point, best_cost = (float(g),), c
     elif d == 2:
+        incumbent = None
         for g2 in grid:
             line = line_for(0, (grid[0], float(g2)))
             for g1 in grid:
                 c = line.cost_at(10.0**g1)
                 if c < best_cost:
                     best_point, best_cost = (float(g1), float(g2)), c
+                    incumbent = lines[0]
+        if incumbent is not None:
+            lines[0] = incumbent  # refinement pass 1 searches this same line
+        incumbent = None  # no line is held outside ``lines`` from here on
     else:
         point = tuple(float(grid[len(grid) // 2]) for _ in range(d))
         for _ in range(2):
@@ -267,7 +291,7 @@ def optimize_lambda(
     point = best_point
     for _ in range(refine_passes):
         for i in range(d):
-            line = single_line if d == 1 else line_for(i, point)
+            line = line_for(i, point)
             x_best, c_best = _golden_section(
                 lambda x: line.cost_at(10.0**x),
                 point[i] - step,

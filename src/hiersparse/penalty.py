@@ -63,6 +63,13 @@ def difference_matrix(q: int, m: int) -> np.ndarray:
     return D
 
 
+def _sort_order(points: np.ndarray, dim: int) -> np.ndarray:
+    """Basis positions by nondecreasing coordinate ``dim``; ties keep pivot order."""
+    if not 0 <= dim < points.shape[1]:
+        raise ValueError(f"dimension {dim} out of range for d={points.shape[1]}")
+    return np.argsort(points[:, dim], kind="stable")
+
+
 def permutation_operator(points: np.ndarray, dim: int) -> np.ndarray:
     """Permutation matrix sorting coefficients by coordinate in ``dim``.
 
@@ -70,13 +77,7 @@ def permutation_operator(points: np.ndarray, dim: int) -> np.ndarray:
     smallest coordinate; exact ties keep their basis (pivot) order.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not 0 <= dim < points.shape[1]:
-        raise ValueError(f"dimension {dim} out of range for d={points.shape[1]}")
-    order = np.argsort(points[:, dim], kind="stable")
-    m = points.shape[0]
-    Pe = np.zeros((m, m))
-    Pe[np.arange(m), order] = 1.0
-    return Pe
+    return np.eye(points.shape[0])[_sort_order(points, dim)]
 
 
 def penalty_components(Q, points: np.ndarray) -> list[np.ndarray]:
@@ -90,7 +91,9 @@ def penalty_components(Q, points: np.ndarray) -> list[np.ndarray]:
             # fewer coefficients than the stencil: this dimension contributes nothing
             comps.append(np.zeros((m, m)))
             continue
-        F = D @ permutation_operator(points, i)
+        # D @ permutation_operator(points, i) as a column gather: column c of
+        # the product is the column of D at the sorted position of center c
+        F = D[:, np.argsort(_sort_order(points, i))]
         psi = F.T @ F
         comps.append((psi + psi.T) / 2.0)
     return comps

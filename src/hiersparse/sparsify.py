@@ -5,14 +5,15 @@ The Gram matrix of numerical rank ``l`` is compressed to a short sketch
 ``l`` columns with the largest residual norms.  Those column indices are the
 sparse point set; the matching Gram columns form the regression basis.
 
-The QR pivoting is implemented here rather than delegated so that the pivot
-order (including the lowest-original-index tie-break) is bit-stable.
+The pivoted QR is LAPACK's xGEQP3 (Quintana-Orti, Sun & Bischof 1998), called
+through ``scipy.linalg.qr``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr
 
 
 @dataclass(frozen=True)
@@ -47,43 +48,22 @@ def sketch(G: np.ndarray, l_s: int, k_extra: int, seed: int) -> SketchMatrix:
 
 
 def pivoted_qr(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR with greedy max-norm column pivoting.
+    """Householder QR with greedy max-norm column pivoting (LAPACK xGEQP3).
 
-    Returns the full column permutation and the diagonal of R.  Residual
-    column norms are recomputed at every step (not downdated), so the pivot
-    sequence coincides with the greedy Gram-Schmidt selection oracle and
-    ``|diag(R)|`` is nonincreasing.  Ties pick the lowest original index.
+    Returns the full column permutation and the diagonal of R.  Each step
+    pivots on the column of largest residual norm, so up to rounding the
+    pivot sequence is the greedy Gram-Schmidt selection and ``|diag(R)|`` is
+    nonincreasing.  xGEQP3 downdates the residual norms and recomputes one
+    when cancellation makes its downdate inaccurate; a tie goes to the
+    leftmost column in the current, partly permuted, order.
     """
-    R = np.array(W, dtype=float)
+    R = np.asarray(W, dtype=float)
     if R.ndim != 2:
         raise ValueError("W must be a matrix")
     if not np.any(R):
         raise ValueError("cannot pivot an all-zero matrix")
-    k, n = R.shape
-    perm = np.arange(n)
-    steps = min(k, n)
-    rdiag = np.zeros(steps)
-    for j in range(steps):
-        norms = np.sqrt(np.sum(R[j:, j:] ** 2, axis=0))
-        top = norms.max()
-        if top == 0.0:
-            break  # remaining columns exhausted; keep their current order
-        tied = np.flatnonzero(norms == top)
-        pick = j + tied[np.argmin(perm[j + tied])]
-        if pick != j:
-            R[:, [j, pick]] = R[:, [pick, j]]
-            perm[[j, pick]] = perm[[pick, j]]
-        x = R[j:, j]
-        alpha = -np.copysign(np.linalg.norm(x), x[0] if x[0] != 0.0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        vv = v @ v
-        if vv > 0.0:
-            R[j:, j:] -= np.outer(v, (2.0 / vv) * (v @ R[j:, j:]))
-        R[j, j] = alpha
-        R[j + 1 :, j] = 0.0
-        rdiag[j] = alpha
-    return perm, rdiag
+    R, perm = qr(R, pivoting=True, mode="r", check_finite=False)
+    return perm.astype(int), np.diag(R).copy()
 
 
 def pivoted_qr_permutation(W: np.ndarray) -> np.ndarray:

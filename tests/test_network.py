@@ -179,6 +179,35 @@ class TestOptimize:
         assert np.isfinite(fs.cost)
 
 
+class TestPencilLine:
+    @pytest.mark.parametrize("d, n, seed, s", [(1, 60, 3, 3), (2, 80, 4, 2), (3, 40, 5, 1)])
+    def test_optimized_cost_is_the_direct_gcv_score(self, d, n, seed, s):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+        B, Y, centers = prob["B"], prob["Y"], prob["centers"]
+        for q in itertools.product((1, 2), repeat=d):
+            lam, cost = optimize_lambda(B, Y, centers, n, q)
+            P = penalty_operator(PenaltySpec(q, lam), centers).P
+            assert cost == pytest.approx(gcv(B, Y, P, n), rel=1e-9)
+
+    def test_two_dimensional_search_reuses_the_incumbent_line(self, monkeypatch):
+        # 11 grid lines + 3 refinement passes x 2 coordinates; pass 1 starts
+        # on the grid line that holds the incumbent, so at most 16 are built
+        builds = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            builds.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        prob = make_basis_problem(80, 2, seed=4, s=2)
+        for q in itertools.product((1, 2), repeat=2):
+            builds.clear()
+            _, cost = optimize_lambda(prob["B"], prob["Y"], prob["centers"], prob["n"], q)
+            assert np.isfinite(cost)
+            assert len(builds) <= 16
+
+
 class TestRepresenter:
     def _fit(self, n=35, d=1, seed=14, lam=None, Q=None):
         prob = make_basis_problem(n, d, seed=seed, phi=1e-6)

@@ -129,6 +129,19 @@ class TestPenaltyOperator:
         expect = penalty_oracle((1, 2), lam, pts)
         assert np.allclose(P, expect, rtol=1e-12, atol=1e-12)
 
+    @given(seed=st.integers(0, 200))
+    @settings(max_examples=25, deadline=None)
+    def test_components_equal_dense_permutation_product(self, seed):
+        # integer coordinates on a few values, so most dimensions have ties
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(3, 25)), int(rng.integers(1, 4))
+        pts = rng.integers(0, 4, size=(m, d)).astype(float)
+        Q = tuple(int(q) for q in rng.integers(1, 3, size=d))
+        for i, (q, psi) in enumerate(zip(Q, penalty_components(Q, pts))):
+            F = difference_matrix(q, m) @ permutation_operator(pts, i)
+            dense = F.T @ F
+            assert np.array_equal(psi, (dense + dense.T) / 2.0)
+
     @given(seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_quadratic_form_identity(self, seed):
