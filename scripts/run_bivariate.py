@@ -54,15 +54,10 @@ def main():
     write_csv(
         out / "prediction_band.csv",
         ["x_1", "x_2", "true", "mean", "std", "lower", "upper"],
-        [
-            [x[0], x[1], t, m, s, lo, hi]
-            for x, t, m, s, lo, hi in zip(grid, truth, ps.mean, ps.std, ps.lower, ps.upper)
-        ],
+        np.column_stack([grid, truth, ps.mean, ps.std, ps.lower, ps.upper]),
         meta={"df_res": ps.df_res, "sigma2_hat": ps.sigma2_hat, "alpha": ps.alpha},
     )
-    write_csv(
-        out / "selected_points.csv", ["x_1", "x_2"], [[p[0], p[1]] for p in model.X_t]
-    )
+    write_csv(out / "selected_points.csv", ["x_1", "x_2"], model.X_t)
     print(f"wrote {out}/prediction_band.csv, selected_points.csv")
 
 

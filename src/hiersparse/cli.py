@@ -64,7 +64,10 @@ def _parse_bounds(text: str):
         bits = part.split(":")
         if len(bits) != 2:
             raise UsageError(f"--range entries look like lo:hi, got {part!r}")
-        pairs.append((float(bits[0]), float(bits[1])))
+        try:
+            pairs.append((float(bits[0]), float(bits[1])))
+        except ValueError:
+            raise UsageError(f"--range bounds must be numbers, got {part!r}") from None
     return tuple(pairs)
 
 
@@ -74,7 +77,10 @@ def _parse_grid(text: str) -> np.ndarray:
         bits = part.split(":")
         if len(bits) != 3:
             raise UsageError(f"--grid entries look like lo:hi:count, got {part!r}")
-        lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
+        try:
+            lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
+        except ValueError:
+            raise UsageError(f"bad grid axis {part!r}") from None
         if count < 1 or not lo < hi:
             raise UsageError(f"bad grid axis {part!r}")
         axes.append(np.linspace(lo, hi, count))
@@ -209,17 +215,13 @@ def cmd_predict(args) -> int:
             "lower",
             "upper",
         ]
-        rows = [
-            list(x) + [m, s, lo, hi]
-            for x, m, s, lo, hi in zip(X_m, pred.mean, pred.std, pred.lower, pred.upper)
-        ]
+        rows = np.column_stack([X_m, pred.mean, pred.std, pred.lower, pred.upper])
         meta = {"df_res": pred.df_res, "sigma2_hat": pred.sigma2_hat, "alpha": pred.alpha}
         write_csv(args.out, header, rows, meta=meta)
     else:
         mean = predict_mean(model, X_m)
         header = [f"x_{j + 1}" for j in range(X_m.shape[1])] + ["mean"]
-        rows = [list(x) + [m] for x, m in zip(X_m, mean)]
-        write_csv(args.out, header, rows)
+        write_csv(args.out, header, np.column_stack([X_m, mean]))
     print(f"predictions for {X_m.shape[0]} points written to {args.out}")
     return 0
 
@@ -231,29 +233,16 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # the fit report without its q and lambda columns
     write_csv(
         out_dir / "cost_curve.csv",
         ["s", "epsilon_s", "l_s", "comp_s", "cost", "convergent"],
-        [
-            [
-                rec.s,
-                rec.epsilon_s,
-                rec.l_s,
-                rec.comp_s,
-                "inf" if not np.isfinite(rec.cost) else rec.cost,
-                1 if rec.s == model.t else 0,
-            ]
-            for rec in model.history
-        ],
+        [row[:5] + row[7:] for row in _report_rows(model)],
     )
     d = model.X_t.shape[1]
     coord_header = [f"x_{j + 1}" for j in range(d)]
     for rec in model.history:
-        write_csv(
-            out_dir / f"selected_points_s{rec.s}.csv",
-            coord_header,
-            [list(p) for p in rec.points],
-        )
+        write_csv(out_dir / f"selected_points_s{rec.s}.csv", coord_header, rec.points)
 
     if args.data:
         dataset = ingest_csv(args.data, has_header=args.has_header)
@@ -262,12 +251,7 @@ def cmd_report(args) -> int:
         write_csv(
             out_dir / "prediction_band.csv",
             coord_header + ["mean", "std", "lower", "upper"],
-            [
-                list(x) + [m, s, lo, hi]
-                for x, m, s, lo, hi in zip(
-                    X_m, pred.mean, pred.std, pred.lower, pred.upper
-                )
-            ],
+            np.column_stack([X_m, pred.mean, pred.std, pred.lower, pred.upper]),
             meta={
                 "df_res": pred.df_res,
                 "sigma2_hat": pred.sigma2_hat,

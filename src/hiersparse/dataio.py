@@ -1,8 +1,10 @@
-"""CSV ingestion and versioned JSON model persistence.
+"""CSV ingestion and output, and versioned JSON model persistence.
 
 All floats are written with ``repr`` (shortest round-trip form), so repeated
 runs with the same inputs produce byte-identical artifacts and a saved model
-reloads to exactly the fitted values.
+reloads to exactly the fitted values.  Numeric tables are passed to
+``write_csv`` as 2-D arrays and formatted a column at a time; short tables
+that mix ints and strings are passed as lists of rows.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,47 +27,16 @@ SCHEMA_VERSION = 1
 def ingest_csv(path, has_header: bool = False) -> Dataset:
     """Read rows of d feature columns followed by one target column.
 
-    Rejects ragged rows, non-numeric cells, and nonfinite values with a
-    diagnostic naming the offending row (1-based, header included) and column.
+    Parses as ``read_points_csv`` (same diagnostics), then splits off the last
+    column as the target; at least two columns are required.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    start = 1 if has_header else 0
-    data_rows = [(i + 1, row) for i, row in enumerate(rows) if i >= start and row]
-    if not data_rows:
-        raise CSVParseError(f"{path}: no data rows")
-    width = len(data_rows[0][1])
-    if width < 2:
+    table = read_points_csv(path, has_header)
+    if table.shape[1] < 2:
         raise CSVParseError(
-            f"{path}: row {data_rows[0][0]} has {width} column(s); "
+            f"{path}: rows have {table.shape[1]} column(s); "
             "need at least one feature and one target"
         )
-    X = np.empty((len(data_rows), width - 1))
-    Y = np.empty(len(data_rows))
-    for out_i, (rownum, row) in enumerate(data_rows):
-        if len(row) != width:
-            raise CSVParseError(
-                f"{path}: row {rownum} has {len(row)} columns, expected {width}"
-            )
-        for col, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise CSVParseError(
-                    f"{path}: row {rownum}, column {col + 1}: "
-                    f"non-numeric value {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise CSVParseError(
-                    f"{path}: row {rownum}, column {col + 1}: "
-                    f"nonfinite value {cell!r}"
-                )
-            if col < width - 1:
-                X[out_i, col] = value
-            else:
-                Y[out_i] = value
-    return Dataset(X=X, Y=Y)
+    return Dataset(X=np.ascontiguousarray(table[:, :-1]), Y=table[:, -1])
 
 
 def sha256_of(path) -> str:
@@ -171,26 +143,38 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
-    """Plain CSV with repr-formatted numbers and optional '#' metadata lines."""
-    lines = []
+    """Plain CSV with repr-formatted numbers and optional '#' metadata lines.
+
+    ``rows`` has one entry per CSV row.  A 2-D numpy array is formatted one
+    column at a time (``repr`` of each Python float, lazily zipped into rows),
+    which gives the same text as formatting it cell by cell; a sequence of
+    row lists may mix ints, floats and ready-made strings such as ``"inf"``.
+    """
+    head = []
     if meta:
         for key, val in meta.items():
             text = _fmt(val) if isinstance(val, (int, float, np.floating, np.integer)) else str(val)
-            lines.append(f"# {key}={text}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+            head.append(f"# {key}={text}")
+    head.append(",".join(header))
+    if isinstance(rows, np.ndarray):
+        body = map(",".join, zip(*(map(repr, col) for col in rows.T.tolist())))
+    else:
+        body = (",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
+    with open(path, "w") as fh:
+        fh.writelines(map("{}\n".format, chain(head, body)))
 
 
 def export_dataset_csv(path, dataset: Dataset) -> None:
     cols = [f"x_{j + 1}" for j in range(dataset.d)] + ["y"]
-    rows = [list(x) + [y] for x, y in zip(dataset.X, dataset.Y)]
-    write_csv(path, cols, rows)
+    write_csv(path, cols, np.column_stack([dataset.X, dataset.Y]))
 
 
 def read_points_csv(path, has_header: bool = False) -> np.ndarray:
-    """Query points: every column is a coordinate (no target column)."""
+    """Query points: every column is a coordinate (no target column).
+
+    Rejects ragged rows, non-numeric cells, and nonfinite values with a
+    diagnostic naming the offending row (1-based, header included) and column.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -215,7 +199,8 @@ def read_points_csv(path, has_header: bool = False) -> np.ndarray:
                 ) from None
             if not math.isfinite(value):
                 raise CSVParseError(
-                    f"{path}: row {rownum}, column {col + 1}: nonfinite value"
+                    f"{path}: row {rownum}, column {col + 1}: "
+                    f"nonfinite value {cell!r}"
                 )
             out[out_i, col] = value
     return out

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hiersparse import predict_mean
+from hiersparse import predict_intervals, predict_mean
 from hiersparse.cli import main
-from hiersparse.dataio import load_model
+from hiersparse.dataio import ingest_csv, load_model
 
 
 def _run(*argv):
@@ -68,6 +68,14 @@ class TestFit:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_range_is_usage_error(self, tmp_path, capsys):
+        code = _run(
+            "fit", "--synth", "schwefel1d", "--n", "40", "--noise", "1",
+            "--range", "a:b", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert "--range" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             _run("fit", "--bogus")
@@ -96,6 +104,41 @@ class TestPredict:
         lines = out.read_text().splitlines()[1:]
         got = np.array([float(ln.split(",")[1]) for ln in lines])
         assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("grid", ["a:1:3", "-1:1:2.5"])
+    def test_malformed_grid_is_usage_error(self, tmp_path, capsys, grid):
+        model_path, _, _ = _fit_files(tmp_path, n=60)
+        code = _run(
+            "predict", "--model", str(model_path), f"--grid={grid}",
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 1
+        assert "bad grid axis" in capsys.readouterr().err
+
+    def test_files_are_repr_text_of_the_library_results(self, tmp_path):
+        model_path, _, train = _fit_files(tmp_path)
+        model, _, _ = load_model(model_path)
+        grid = np.linspace(-450, 450, 37)[:, None]
+        mean_out, ci_out = tmp_path / "mean.csv", tmp_path / "ci.csv"
+        assert _run("predict", "--model", str(model_path), "--grid=-450:450:37",
+                    "--out", str(mean_out)) == 0
+        assert _run("predict", "--model", str(model_path), "--grid=-450:450:37",
+                    "--ci", "0.1", "--data", str(train), "--has-header",
+                    "--out", str(ci_out)) == 0
+
+        def text(lines, *columns):
+            rows = (",".join(repr(float(v)) for v in row) for row in zip(*columns))
+            return "\n".join([*lines, *rows]) + "\n"
+
+        mean = predict_mean(model, grid)
+        assert mean_out.read_text() == text(["x_1,mean"], grid[:, 0], mean)
+        pred = predict_intervals(model, ingest_csv(train, has_header=True), grid, alpha=0.1)
+        meta = [f"# {key}={float(getattr(pred, key))!r}"
+                for key in ("df_res", "sigma2_hat", "alpha")]
+        assert ci_out.read_text() == text(
+            meta + ["x_1,mean,std,lower,upper"],
+            grid[:, 0], pred.mean, pred.std, pred.lower, pred.upper,
+        )
 
     def test_query_file_round_trip(self, tmp_path):
         model_path, _, _ = _fit_files(tmp_path)

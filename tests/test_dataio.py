@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hiersparse import CSVParseError, Dataset, SynthSpec, fit, sample
 from hiersparse.dataio import (
@@ -71,6 +74,31 @@ class TestIngest:
         assert pts.tolist() == [[0.5, 1.5], [2.5, 3.5]]
 
 
+class TestReadPoints:
+    def test_ragged_row_names_row(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text("x_1,x_2\n0,1\n1\n")
+        with pytest.raises(CSVParseError, match=r"row 3 has 1 columns, expected 2"):
+            read_points_csv(p, has_header=True)
+
+    def test_non_numeric_cell_names_row_column_and_value(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text("0,1\n2,abc\n")
+        with pytest.raises(CSVParseError, match=r"row 2, column 2: non-numeric value 'abc'"):
+            read_points_csv(p)
+
+    def test_nonfinite_names_row_column_and_value(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text("0,1\n-inf,2\n")
+        with pytest.raises(CSVParseError, match=r"row 2, column 1: nonfinite value '-inf'"):
+            read_points_csv(p)
+
+    def test_single_column_is_a_point_set(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text("1\n2\n")
+        assert read_points_csv(p).tolist() == [[1.0], [2.0]]
+
+
 def _fitted_model(seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, size=(25, 1))
@@ -137,3 +165,42 @@ class TestWriteCSV:
         assert lines[2] == "a,b"
         cell = lines[3].split(",")[1]
         assert float(cell) == value  # repr round-trips exactly
+
+    def test_mixed_rows_keep_their_text(self, tmp_path):
+        p = tmp_path / "o.csv"
+        rows = [[3, np.int64(-4), np.float64(0.1), "inf", ""], [0, np.int64(7), 2.0, "1;2", "x"]]
+        write_csv(p, ["a", "b", "c", "d", "e"], rows)
+        assert p.read_text() == "a,b,c,d,e\n3,-4,0.1,inf,\n0,7,2.0,1;2,x\n"
+
+    def test_special_floats_in_an_array(self, tmp_path):
+        p = tmp_path / "o.csv"
+        row = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+        write_csv(p, list("abcdefgh"), np.array([row]))
+        assert p.read_text().splitlines()[1] == (
+            "-0.0,5e-324,1e-05,1e+16,1.7976931348623157e+308,nan,inf,-inf"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(1, 5)),
+            elements=st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from(
+                [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, np.nan, np.inf]
+            ),
+        )
+    )
+    def test_array_matches_cellwise_repr(self, tmp_path_factory, table):
+        p = tmp_path_factory.mktemp("csv") / "o.csv"
+        header = [f"c{j}" for j in range(table.shape[1])]
+        write_csv(p, header, table, meta={"alpha": 0.05})
+        expected = ["# alpha=0.05", ",".join(header)]
+        expected += [",".join(repr(float(v)) for v in row) for row in table]
+        assert p.read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_no_rows_writes_the_header_only(self, tmp_path, rows):
+        p = tmp_path / "o.csv"
+        write_csv(p, ["a", "b", "c"], rows)
+        assert p.read_text() == "a,b,c\n"

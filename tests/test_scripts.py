@@ -1,0 +1,51 @@
+"""The experiment scripts run end to end and write their tables."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _table(path):
+    """(metadata lines, header, data lines) of a CSV written by write_csv."""
+    lines = path.read_text().splitlines()
+    meta = [ln for ln in lines if ln.startswith("#")]
+    body = lines[len(meta):]
+    return meta, body[0].split(","), body[1:]
+
+
+@pytest.mark.parametrize(
+    "script, n, coords, band_rows",
+    [("run_univariate.py", 80, ["x_1"], 1000), ("run_bivariate.py", 100, ["x_1", "x_2"], 900)],
+)
+def test_script_writes_its_tables(tmp_path, script, n, coords, band_rows):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--n", str(n),
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+
+    meta, header, rows = _table(tmp_path / "prediction_band.csv")
+    assert [m.split("=")[0] for m in meta] == ["# df_res", "# sigma2_hat", "# alpha"]
+    assert header == coords + ["true", "mean", "std", "lower", "upper"]
+    assert len(rows) == band_rows
+    assert {len(r.split(",")) for r in rows} == {len(header)}
+
+    # the summary line reads "convergence ... |X_t|=<size>, ..."
+    size = int(next(ln for ln in out if "|X_t|=" in ln).split("|X_t|=")[1].split(",")[0])
+    _, header, rows = _table(tmp_path / "selected_points.csv")
+    assert header == coords
+    assert len(rows) == size
+
+    if script == "run_univariate.py":
+        scales = [ln.split()[0] for ln in out if ln.split()[:1] and ln.split()[0].isdigit()]
+        _, header, rows = _table(tmp_path / "cost_curve.csv")
+        assert header == ["s", "epsilon_s", "l_s", "comp_s", "cost"]
+        assert [r.split(",")[0] for r in rows] == scales
