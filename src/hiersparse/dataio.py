@@ -169,15 +169,29 @@ def export_dataset_csv(path, dataset: Dataset) -> None:
     write_csv(path, cols, np.column_stack([dataset.X, dataset.Y]))
 
 
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def read_points_csv(path, has_header: bool = False) -> np.ndarray:
     """Query points: every column is a coordinate (no target column).
 
     Rejects ragged rows, non-numeric cells, and nonfinite values with a
     diagnostic naming the offending row (1-based, header included) and column.
+    With ``has_header``, a first row of finite numbers is rejected too: it is
+    a data row, and skipping it would drop a point without notice.
     """
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
+    if has_header and rows and rows[0] and all(_is_finite_number(c) for c in rows[0]):
+        raise CSVParseError(
+            f"{path}: row 1 is read as a header but holds only numbers; "
+            "is this file header-less?"
+        )
     start = 1 if has_header else 0
     data_rows = [(i + 1, row) for i, row in enumerate(rows) if i >= start and row]
     if not data_rows:

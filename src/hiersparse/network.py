@@ -7,25 +7,37 @@ U = B (B^T B + n P)^{-1} B^T, and the model-selection score is
     GCV = (1/n) ||(I - U) Y||^2 / [ (1/n) tr(I - U) ]^2
 
 minimized jointly over the per-dimension difference orders Q in {1,2}^d and
-the positive weights Lambda (log-grid search plus golden-section refinement).
+the positive weights Lambda inside the box ``LOG_LAMBDA_BOUNDS``: a log-grid
+plus golden-section search for d = 1, and for d >= 2 a projected Newton
+descent on log Lambda seeded from one log-grid line (``optimize_lambda``).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dsygst
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dsygst, dtrtri
 
 from .errors import DegenerateGCVError, IllConditionedScaleError, ScaleUnfitError
 from .kernel import kernel_matrix
-from .penalty import penalty_components
+from .penalty import component_action, penalty_components
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
-# log10 search domain for each penalty weight; zero penalty is excluded
+# log10 grid of the d = 1 search; zero penalty is excluded
 LOG_LAMBDA_GRID = np.linspace(-8.0, 2.0, 11)
+# log10 box of every penalty weight: the d = 1 grid widened by its three
+# golden-section passes of one decade each, so exactly what that search
+# reaches; the d >= 2 Newton search is projected onto it
+LOG_LAMBDA_BOUNDS = (-11.0, 5.0)
+# d >= 2 seeds along the diagonal lambda_1 = ... = lambda_d, half a decade apart
+LOG_LAMBDA_SEEDS = np.linspace(LOG_LAMBDA_BOUNDS[0], LOG_LAMBDA_BOUNDS[1], 33)
+NEWTON_MAX_STEPS = 20
+_MAX_HALVINGS = 30
 
 
 @dataclass
@@ -136,26 +148,26 @@ def _solve_at(B, Y, psis, n, lam) -> tuple[np.ndarray, float]:
 
 
 class _PencilLine:
-    """GCV along one penalty weight, all other weights frozen.
+    """GCV along one penalty direction Psi.
 
-    The line of systems C + base + n*lam*Psi_i is whitened against its
-    lam_floor member S = L L^T: LAPACK's xSYGST reduces n*Psi_i to
-    K = L^{-1} (n Psi_i) L^{-T} in one blocked pass, ``eigh`` diagonalizes
+    The line of systems C + n*lam*Psi is whitened against its
+    lam_floor member S = L L^T: LAPACK's xSYGST reduces n*Psi to
+    K = L^{-1} (n Psi) L^{-T} in one blocked pass, ``eigh`` diagonalizes
     K = W diag(gamma) W^T, and one triangular solve back-transforms the
     eigenvectors to V = L^{-T} W, so Btilde = B V.  Every lambda evaluation
     is then O(n l): tr U = sum_j ||Btilde_j||^2 / (1 + (lam - floor) gamma_j)
-    and the fitted values are a diagonal reweighting of Btilde^T Y.  Valid
-    for every lam > 0 since the whitened penalty spectrum is capped at
-    1/lam_floor.
+    and the fitted values are a diagonal reweighting of Btilde^T Y.  Since
+    lam_floor * gamma_j <= 1, every denominator is at least
+    min(1, lam / lam_floor): exact for every lam > 0, and best conditioned at
+    or above the anchor, which is why the d >= 2 seed line is anchored at
+    the box floor.
     """
 
-    def __init__(self, C, B, Y, psi, n, lam_floor, base=None):
+    def __init__(self, C, B, Y, psi, n, lam_floor):
         self.n = n
         self.Y = Y
         self.lam_floor = lam_floor
         S_ref = C + (n * lam_floor) * psi
-        if base is not None:
-            S_ref = S_ref + base
         self.ok = True
         try:
             factor = _factor(S_ref, _default_jitter(C))
@@ -203,6 +215,157 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
+class _GCVSurface:
+    """GCV as a function of log10 weights rho for fixed orders ``q``.
+
+    ``at(rho)`` sums and factors S = C + n P as ``gcv`` does, so a point's
+    ``cost`` is that score at Lambda = 10**rho (+inf when S cannot be
+    factored or tr(I - U) vanishes).  ``derivatives(point)`` gives its
+    gradient and Hessian in rho.  With S = L L^T, V = L^{-1} B^T,
+    A = S^{-1} B^T = L^{-T} V, P_i = n lam_i Psi_i and Z_i = L^{-1} P_i A,
+    in eta = ln Lambda (Wood 2004, JASA 99:673):
+
+        tau = tr U = ||V||^2,  d tau_i = -tr(A^T P_i A),
+        d2 tau_ij = 2 <Z_i, Z_j> + delta_ij d tau_i,
+        d theta_i = -S^{-1} P_i theta,
+
+    and the residual sum of squares follows from theta and d theta_i.  The
+    banded Psi_i act through ``component_action`` and L^{-1} is formed once
+    (xTRTRI), so a Hessian costs d + 1 triangular products with an l x n
+    matrix and no further factorization.
+    """
+
+    def __init__(self, B, Y, C, centers, n, q, psis):
+        self.B, self.Y, self.C, self.n, self.psis = B, Y, C, n, psis
+        self.BtY = B.T @ Y
+        self.jitter = _default_jitter(C)
+        self.actions = [component_action(qi, centers, i) for i, qi in enumerate(q)]
+
+    def at(self, rho: np.ndarray) -> SimpleNamespace:
+        n, lam = self.n, 10.0**rho
+        point = SimpleNamespace(rho=rho, lam=lam, cost=np.inf)
+        P = np.zeros_like(self.C)
+        for lam_i, psi in zip(lam, self.psis):
+            P += lam_i * psi
+        try:
+            point.factor = _factor(self.C + n * P, self.jitter)
+        except IllConditionedScaleError:
+            return point
+        point.V = solve_triangular(point.factor[0], self.B.T, lower=True, check_finite=False)
+        point.denom = n - float(np.sum(point.V * point.V))
+        if point.denom <= n * 1e-12:
+            return point
+        point.theta = cho_solve(point.factor, self.BtY, check_finite=False)
+        point.resid = self.Y - self.B @ point.theta
+        point.cost = n * float(point.resid @ point.resid) / point.denom**2
+        return point
+
+    def derivatives(self, point) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the cost in log10 Lambda at ``point``."""
+        n, d, factor = self.n, len(self.psis), point.factor
+        Linv, info = dtrtri(factor[0], lower=1)
+        if info != 0:
+            raise LinAlgError(f"dtrtri: info {info}")
+        A = dtrmm(1.0, Linv, point.V, lower=1, trans_a=1)
+        scale = n * point.lam
+        dtau, Z = np.empty(d), []
+        for i, (s_i, act) in enumerate(zip(scale, self.actions)):
+            R = np.asfortranarray(act(A))
+            dtau[i] = -s_i * np.einsum("ij,ij->", A, R)
+            Z.append(dtrmm(s_i, Linv, R, lower=1, overwrite_b=1))
+        del A, R
+        d2tau = np.diag(dtau)
+        Ptheta = [s_i * act(point.theta) for s_i, act in zip(scale, self.actions)]
+        dtheta = [-cho_solve(factor, v, check_finite=False) for v in Ptheta]
+        w = cho_solve(factor, self.B.T @ point.resid, check_finite=False)
+        Bdtheta = self.B @ np.column_stack(dtheta)
+        drss = np.array([2.0 * float(w @ v) for v in Ptheta])
+        d2rss = np.diag(drss) + 2.0 * (Bdtheta.T @ Bdtheta)
+        for i in range(d):
+            for j in range(i, d):
+                d2tau[i, j] += 2.0 * np.einsum("ij,ij->", Z[i], Z[j])
+                cross = (scale[j] * self.actions[j](dtheta[i])
+                         + scale[i] * self.actions[i](dtheta[j]))
+                d2rss[i, j] += 2.0 * float(w @ cross)
+                d2tau[j, i], d2rss[j, i] = d2tau[i, j], d2rss[i, j]
+        # cost = n rss / D^2 with D = n - tau, so d cost / d tau = 2 cost / D
+        D, cost = point.denom, point.cost
+        grad = n * drss / D**2 + 2.0 * cost * dtau / D
+        hess = (
+            n * d2rss / D**2
+            + 2.0 * n * (np.outer(drss, dtau) + np.outer(dtau, drss)) / D**3
+            + 2.0 * cost * d2tau / D
+            + 6.0 * cost * np.outer(dtau, dtau) / D**2
+        )
+        ln10 = np.log(10.0)
+        return ln10 * grad, ln10**2 * hess
+
+
+def _descent_direction(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """-H^{-1} g, with H shifted by a multiple of I until it is positive
+    definite (Nocedal & Wright 2006, Algorithm 3.3)."""
+    eye = np.eye(len(g))
+    beta = 1e-3 * max(float(np.max(np.abs(np.diag(H)))), float(np.max(np.abs(g))), 1e-300)
+    shift = 0.0 if np.min(np.diag(H)) > 0.0 else beta
+    while True:
+        try:
+            R = np.linalg.cholesky(H + shift * eye)
+            break
+        except np.linalg.LinAlgError:
+            shift = max(2.0 * shift, beta)
+    return -cho_solve((R, True), g, check_finite=False)
+
+
+def _newton(surface: _GCVSurface, rho: np.ndarray, tol: float):
+    """Projected, backtracking Newton descent on the log10 box from ``rho``.
+
+    A coordinate on a bound whose gradient points out of the box is held
+    there; the others take the (modified) Newton step, projected onto the
+    box and halved until the cost falls by the Armijo margin.  Stops when a
+    step moves no coordinate by ``tol`` or more, when no step lowers the
+    cost, when the derivatives are not finite, or after ``NEWTON_MAX_STEPS``
+    steps.
+    """
+    lo, hi = LOG_LAMBDA_BOUNDS
+    x = surface.at(rho)
+    for _ in range(NEWTON_MAX_STEPS if np.isfinite(x.cost) else 0):
+        g, H = surface.derivatives(x)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+            break
+        free = ~(((x.rho <= lo) & (g > 0.0)) | ((x.rho >= hi) & (g < 0.0)))
+        if not free.any():
+            break
+        step = np.zeros_like(g)
+        step[free] = _descent_direction(g[free], H[np.ix_(free, free)])
+        for halving in range(_MAX_HALVINGS):
+            trial = surface.at(np.clip(x.rho + 0.5**halving * step, lo, hi))
+            decrease = min(float(g @ (trial.rho - x.rho)), 0.0)
+            if trial.cost < x.cost and trial.cost <= x.cost + 1e-4 * decrease:
+                break
+        else:
+            break
+        moved = float(np.max(np.abs(trial.rho - x.rho)))
+        x = trial
+        if moved < tol:
+            break
+    return x
+
+
+def _floor_points(surface: _GCVSurface, rho: np.ndarray) -> list:
+    """(cost, rho) with one weight of ``rho`` at a time moved to the box floor.
+
+    A weight at the floor leaves its dimension unsmoothed; GCV often has a
+    basin there that Newton from the diagonal does not reach.
+    """
+    lo = LOG_LAMBDA_BOUNDS[0]
+    points = []
+    for i in np.flatnonzero(rho != lo):
+        moved = rho.copy()
+        moved[i] = lo
+        points.append((surface.at(moved).cost, moved))
+    return points
+
+
 def optimize_lambda(
     B: np.ndarray,
     Y: np.ndarray,
@@ -216,92 +379,73 @@ def optimize_lambda(
 ) -> tuple[np.ndarray, float]:
     """Best positive weights for fixed penalty orders ``q``.
 
-    Coarse log10 grid (tensorized for d <= 2, coordinate descent above),
-    then per-coordinate golden-section refinement.  Returns (Lambda, cost);
-    cost is +inf when every candidate was degenerate.
+    Returns (Lambda, cost) with log10 Lambda inside ``LOG_LAMBDA_BOUNDS``;
+    cost is the ``gcv`` score at Lambda, +inf when every candidate was
+    degenerate.
 
-    Each search along coordinate i runs on a ``_PencilLine`` built for the
-    other coordinates' log-weights.  The last line built for each coordinate
-    is kept with those weights as its key and reused while they are
-    unchanged; for d = 2 the grid line holding the incumbent is kept in its
-    place, which is the line refinement starts on.  At most d + 1 lines are
-    held at once.
+    d = 1: one ``_PencilLine`` scores the grid ``LOG_LAMBDA_GRID``, then
+    ``refine_passes`` golden-section passes, each over one decade either
+    side of the incumbent, narrow it to ``refine_tol`` decades.
+
+    d >= 2: one ``_PencilLine`` along Psi_1 + ... + Psi_d scores the
+    diagonal lambda_1 = ... = lambda_d at ``LOG_LAMBDA_SEEDS``, and the best
+    point seeds a projected Newton descent on log10 Lambda with the exact
+    GCV gradient and Hessian (``_GCVSurface``, one Cholesky per point), which
+    stops once a step moves no log10 weight by ``refine_tol`` or more.  The
+    seed and the end of each descent are also tried with one weight at a
+    time at the box floor; the lowest such point, if it beats the descent,
+    starts the next one, up to ``refine_passes`` descents in all (with 0,
+    the best of the seed and its floor points).  The search is local: GCV can have several basins, and one
+    the diagonal does not lead to can be missed.
     """
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = centers.shape[1]
     psis = _psis if _psis is not None else penalty_components(q, centers)
-    grid = LOG_LAMBDA_GRID
-    lam_floor = 10.0 ** grid[0]
     C = B.T @ B
-    lines: dict[int, tuple[tuple[float, ...], _PencilLine]] = {}
 
-    def line_for(i: int, point: tuple[float, ...]) -> _PencilLine:
-        key = point[:i] + point[i + 1 :]
-        held = lines.get(i)
-        if held is not None and held[0] == key:
-            return held[1]
-        base = None
-        if d > 1:
-            base = np.zeros_like(C)
-            for j, psi in enumerate(psis):
-                if j != i:
-                    base += (n * 10.0 ** point[j]) * psi
-        line = _PencilLine(C, B, Y, psis[i], n, lam_floor, base=base)
-        lines[i] = (key, line)
-        return line
+    if d > 1:
+        line = _PencilLine(C, B, Y, sum(psis), n, 10.0 ** LOG_LAMBDA_BOUNDS[0])
+        costs = [line.cost_at(10.0**g) for g in LOG_LAMBDA_SEEDS]
+        k = int(np.argmin(costs))
+        if not np.isfinite(costs[k]):
+            return 10.0 ** np.zeros(d), np.inf
+        surface = _GCVSurface(B, Y, C, centers, n, q, psis)
+        rho = np.full(d, LOG_LAMBDA_SEEDS[k])
+        found = _floor_points(surface, rho)
+        if refine_passes < 1:
+            found.append((surface.at(rho).cost, rho))
+        for _ in range(refine_passes):
+            end = _newton(surface, rho, refine_tol)
+            found += [(end.cost, end.rho)] + _floor_points(surface, end.rho)
+            cost, rho = min(found, key=lambda point: point[0])
+            if not cost < end.cost:
+                break
+        cost, rho = min(found, key=lambda point: point[0])
+        if not np.isfinite(cost):
+            return 10.0 ** np.zeros(d), np.inf
+        return 10.0**rho, cost
 
+    grid = LOG_LAMBDA_GRID
+    line = _PencilLine(C, B, Y, psis[0], n, 10.0 ** grid[0])
     best_point, best_cost = None, np.inf
-    if d == 1:
-        line = line_for(0, (grid[0],))
-        for g in grid:
-            c = line.cost_at(10.0**g)
-            if c < best_cost:
-                best_point, best_cost = (float(g),), c
-    elif d == 2:
-        incumbent = None
-        for g2 in grid:
-            line = line_for(0, (grid[0], float(g2)))
-            for g1 in grid:
-                c = line.cost_at(10.0**g1)
-                if c < best_cost:
-                    best_point, best_cost = (float(g1), float(g2)), c
-                    incumbent = lines[0]
-        if incumbent is not None:
-            lines[0] = incumbent  # refinement pass 1 searches this same line
-        incumbent = None  # no line is held outside ``lines`` from here on
-    else:
-        point = tuple(float(grid[len(grid) // 2]) for _ in range(d))
-        for _ in range(2):
-            for i in range(d):
-                line = line_for(i, point)
-                for g in grid:
-                    cand = point[:i] + (float(g),) + point[i + 1 :]
-                    c = line.cost_at(10.0**g)
-                    if c < best_cost:
-                        best_point, best_cost = cand, c
-            if best_point is not None:
-                point = best_point
-
+    for g in grid:
+        c = line.cost_at(10.0**g)
+        if c < best_cost:
+            best_point, best_cost = float(g), c
     if best_point is None or not np.isfinite(best_cost):
         return 10.0 ** np.zeros(d), np.inf
 
     step = float(grid[1] - grid[0])
     point = best_point
     for _ in range(refine_passes):
-        for i in range(d):
-            line = line_for(i, point)
-            x_best, c_best = _golden_section(
-                lambda x: line.cost_at(10.0**x),
-                point[i] - step,
-                point[i] + step,
-                refine_tol,
-            )
-            if c_best < best_cost:
-                point = point[:i] + (float(x_best),) + point[i + 1 :]
-                best_cost = c_best
-    return 10.0 ** np.asarray(point), best_cost
+        x_best, c_best = _golden_section(
+            lambda x: line.cost_at(10.0**x), point - step, point + step, refine_tol
+        )
+        if c_best < best_cost:
+            point, best_cost = float(x_best), c_best
+    return 10.0 ** np.asarray([point]), best_cost
 
 
 def optimize_gcv(

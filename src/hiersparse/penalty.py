@@ -99,6 +99,29 @@ def penalty_components(Q, points: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
+def component_action(q: int, points: np.ndarray, dim: int):
+    """Z -> Psi Z for the order-q component of dimension ``dim``, O(m) a column.
+
+    The same Psi as ``penalty_components`` builds densely: rows are gathered
+    into coordinate order, differenced q times, passed back through the
+    transposed differences and scattered to basis order.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    order = _sort_order(points, dim)
+
+    def apply(Z: np.ndarray) -> np.ndarray:
+        if len(order) <= q:
+            return np.zeros_like(Z)
+        W = np.diff(Z[order], n=q, axis=0)
+        for _ in range(q):
+            W = -np.diff(W, axis=0, prepend=0.0, append=0.0)
+        out = np.empty_like(W)
+        out[order] = W
+        return out
+
+    return apply
+
+
 def penalty_operator(spec: PenaltySpec, points: np.ndarray) -> PenaltyMatrix:
     """Weighted sum of the per-dimension difference forms; symmetric PSD."""
     comps = penalty_components(spec.Q, points)

@@ -172,6 +172,22 @@ class TestPredict:
         assert np.all(std >= 0)
         assert np.all(lower <= mean) and np.all(mean <= upper)
 
+    def test_headerless_query_with_has_header_is_refused(self, tmp_path, capsys):
+        # --has-header applies to --query and --data alike; a header-less
+        # query file must not lose its first point without notice
+        model_path, _, train = _fit_files(tmp_path)
+        q = tmp_path / "q.csv"
+        q.write_text("-100.0\n0.0\n250.0\n")
+        out = tmp_path / "p.csv"
+        code = _run(
+            "predict", "--model", str(model_path), "--query", str(q), "--ci", "0.05",
+            "--data", str(train), "--has-header", "--out", str(out),
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(q) in err and "row 1" in err
+
     def test_ci_without_data_refuses(self, tmp_path, capsys):
         model_path, _, _ = _fit_files(tmp_path)
         code = _run(

@@ -93,6 +93,19 @@ class TestReadPoints:
         with pytest.raises(CSVParseError, match=r"row 2, column 1: nonfinite value '-inf'"):
             read_points_csv(p)
 
+    def test_numeric_first_row_is_not_a_header(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text("0.5,1.5\n2.5,3.5\n")
+        with pytest.raises(CSVParseError, match=r"q\.csv: row 1 is read as a header"):
+            read_points_csv(p, has_header=True)
+        with pytest.raises(CSVParseError, match=r"row 1 is read as a header"):
+            ingest_csv(p, has_header=True)
+
+    def test_header_with_one_text_cell_is_skipped(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text("1,x_2\n2.5,3.5\n")
+        assert read_points_csv(p, has_header=True).tolist() == [[2.5, 3.5]]
+
     def test_single_column_is_a_point_set(self, tmp_path):
         p = tmp_path / "q.csv"
         p.write_text("1\n2\n")

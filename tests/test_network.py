@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hiersparse import network
 from hiersparse import (
     DegenerateGCVError,
     PenaltySpec,
@@ -16,6 +19,8 @@ from hiersparse import (
     representer,
     solve_weights,
 )
+from hiersparse.network import LOG_LAMBDA_BOUNDS
+from hiersparse.penalty import penalty_components
 from helpers import (
     gcv_oracle,
     make_basis_problem,
@@ -189,23 +194,95 @@ class TestPencilLine:
             P = penalty_operator(PenaltySpec(q, lam), centers).P
             assert cost == pytest.approx(gcv(B, Y, P, n), rel=1e-9)
 
-    def test_two_dimensional_search_reuses_the_incumbent_line(self, monkeypatch):
-        # 11 grid lines + 3 refinement passes x 2 coordinates; pass 1 starts
-        # on the grid line that holds the incumbent, so at most 16 are built
-        builds = []
+    def test_one_pencil_line_per_order_combination(self, monkeypatch):
+        # d >= 2 builds one line, along the diagonal, and solves its Newton
+        # systems without eigh, so eigh calls count pencil lines only
+        built, eigh_calls = [], []
         eigh = np.linalg.eigh
 
+        class CountingLine(network._PencilLine):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
         def counting_eigh(*args, **kwargs):
-            builds.append(1)
+            eigh_calls.append(1)
             return eigh(*args, **kwargs)
 
+        monkeypatch.setattr(network, "_PencilLine", CountingLine)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        prob = make_basis_problem(80, 2, seed=4, s=2)
+        for n, d, seed, s in [(80, 2, 4, 2), (40, 3, 5, 1)]:
+            prob = make_basis_problem(n, d, seed=seed, s=s)
+            for q in itertools.product((1, 2), repeat=d):
+                built.clear()
+                eigh_calls.clear()
+                _, cost = optimize_lambda(prob["B"], prob["Y"], prob["centers"], n, q)
+                assert np.isfinite(cost)
+                assert len(built) == 1
+                assert len(eigh_calls) == 1
+
+
+class TestNewtonSearch:
+    # points where the penalty conditions S: near the box floor gcv() itself
+    # is smooth only to about 1e-10, too rough for a second difference
+    @pytest.mark.parametrize("n, d, seed, s, rho", [
+        (80, 2, 4, 2, (-3.0, -2.0)),
+        (80, 2, 4, 2, (-5.0, -6.0)),
+        (40, 3, 5, 1, (-3.0, -2.0, -4.0)),
+        (40, 3, 5, 1, (-4.0, -5.0, -3.0)),
+    ])
+    def test_gradient_and_hessian_match_central_differences(self, n, d, seed, s, rho):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+        B, Y, centers = prob["B"], prob["Y"], prob["centers"]
+        rho = np.array(rho)
+        E = np.eye(d)
+        for q in itertools.product((1, 2), repeat=d):
+            f = lambda r: gcv(B, Y, penalty_operator(PenaltySpec(q, 10.0**r), centers).P, n)
+            surface = network._GCVSurface(B, Y, B.T @ B, centers, n, q,
+                                          penalty_components(q, centers))
+            point = surface.at(rho)
+            assert point.cost == f(rho)
+            g, H = surface.derivatives(point)
+            h = 1e-3
+            g_fd = np.array([(f(rho + h * e) - f(rho - h * e)) / (2 * h) for e in E])
+            H_fd = np.array([[
+                (f(rho + h * (ei + ej)) - f(rho + h * (ei - ej))
+                 - f(rho - h * (ei - ej)) + f(rho - h * (ei + ej))) / (4 * h * h)
+                for ej in E] for ei in E])
+            assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
+            assert np.linalg.norm(H - H_fd) <= 1e-5 * np.linalg.norm(H_fd)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(20, 60),
+        seed=st.integers(0, 10_000),
+        s=st.integers(0, 4),
+        q_bits=st.integers(0, 7),
+    )
+    def test_weights_stay_inside_the_declared_box(self, d, n, seed, s, q_bits):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+        q = tuple(1 + (q_bits >> i & 1) for i in range(d))
+        lam, _ = optimize_lambda(prob["B"], prob["Y"], prob["centers"], n, q)
+        lo, hi = LOG_LAMBDA_BOUNDS
+        assert lam.shape == (d,)
+        assert np.all(lam >= 10.0**lo) and np.all(lam <= 10.0**hi)
+
+    @pytest.mark.parametrize("n, seed, s", [(80, 4, 2), (150, 8, 4)])
+    def test_no_grid_point_of_the_box_scores_lower(self, n, seed, s):
+        # (150, 8, 4) has its lowest basin at lambda_2 -> 0, which Newton
+        # from the diagonal alone does not reach
+        prob = make_basis_problem(n, 2, seed=seed, s=s)
+        grid = np.linspace(*LOG_LAMBDA_BOUNDS, 33)
         for q in itertools.product((1, 2), repeat=2):
-            builds.clear()
-            _, cost = optimize_lambda(prob["B"], prob["Y"], prob["centers"], prob["n"], q)
-            assert np.isfinite(cost)
-            assert len(builds) <= 16
+            _, cost = optimize_lambda(prob["B"], prob["Y"], prob["centers"], n, q)
+            grid_min = min(
+                gcv(prob["B"], prob["Y"],
+                    penalty_operator(PenaltySpec(q, 10.0 ** np.array([a, b])),
+                                     prob["centers"]).P, n)
+                for a in grid for b in grid
+            )
+            assert cost <= grid_min * (1.0 + 1e-9)
 
 
 class TestRepresenter:

@@ -10,6 +10,7 @@ from hiersparse import (
     penalty_operator,
     permutation_operator,
 )
+from hiersparse.penalty import component_action
 from helpers import penalty_oracle, sort_permutation_oracle
 
 
@@ -141,6 +142,20 @@ class TestPenaltyOperator:
             F = difference_matrix(q, m) @ permutation_operator(pts, i)
             dense = F.T @ F
             assert np.array_equal(psi, (dense + dense.T) / 2.0)
+
+    @given(seed=st.integers(0, 200))
+    @settings(max_examples=25, deadline=None)
+    def test_component_action_is_the_dense_product(self, seed):
+        # m from 1, so the degenerate m <= q components are drawn too
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        pts = rng.integers(0, 4, size=(m, d)).astype(float)
+        Q = tuple(int(q) for q in rng.integers(1, 3, size=d))
+        Z = rng.standard_normal((m, 3))
+        for i, (q, psi) in enumerate(zip(Q, penalty_components(Q, pts))):
+            act = component_action(q, pts, i)
+            assert np.allclose(act(Z), psi @ Z, rtol=1e-12, atol=1e-12)
+            assert np.allclose(act(Z[:, 0]), psi @ Z[:, 0], rtol=1e-12, atol=1e-12)
 
     @given(seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
