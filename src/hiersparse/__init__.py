@@ -21,8 +21,6 @@ from .errors import (
 from .hierarchy import ScaleRecord, SparseModel, compression_ratio, fit
 from .kernel import (
     Dataset,
-    GramMatrix,
-    ScaleConfig,
     diameter_T,
     gram,
     kernel_matrix,
@@ -59,14 +57,13 @@ from .predict import (
 )
 from .sparsify import (
     ScaleBasis,
-    SketchMatrix,
     pivoted_qr,
     pivoted_qr_permutation,
     select_basis,
     sketch,
 )
 from .synth import SynthSpec, eval_true, sample
-from .tdist import t_cdf, t_pdf, t_quantile
+from .tdist import t_quantile
 
 __all__ = [
     "CSVParseError",
@@ -76,17 +73,14 @@ __all__ = [
     "DegenerateGeometryError",
     "FitError",
     "FittedScale",
-    "GramMatrix",
     "IllConditionedScaleError",
     "PenaltyMatrix",
     "PenaltySpec",
     "PredictionSet",
     "RepresenterOracle",
     "ScaleBasis",
-    "ScaleConfig",
     "ScaleRecord",
     "ScaleUnfitError",
-    "SketchMatrix",
     "SparseModel",
     "SynthSpec",
     "compression_ratio",
@@ -119,7 +113,5 @@ __all__ = [
     "sigma2_hat",
     "sketch",
     "solve_weights",
-    "t_cdf",
-    "t_pdf",
     "t_quantile",
 ]

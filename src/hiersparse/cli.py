@@ -58,6 +58,21 @@ def _parse_T(text: str):
     return value
 
 
+def _checked(cast, ok, rule: str):
+    """argparse ``type`` that also rejects a value outside ``rule`` (exit 1)."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_bounds(text: str):
     pairs = []
     for part in text.split(","):
@@ -271,11 +286,15 @@ def build_parser() -> _Parser:
 
     def add_common_fit(p):
         p.add_argument("--T", default="auto", help="base squared-distance scale or 'auto'")
-        p.add_argument("--M", type=float, default=2.0, help="scale divisor (> 1)")
-        p.add_argument("--phi", type=float, default=1e-10, help="rank precision in (0,1)")
-        p.add_argument("--k-extra", dest="k_extra", type=int, default=8,
+        p.add_argument("--M", type=_checked(float, lambda v: v > 1, "a number > 1"),
+                       default=2.0, help="scale divisor (> 1)")
+        p.add_argument("--phi", type=_checked(float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+                       default=1e-10, help="rank precision in (0,1)")
+        p.add_argument("--k-extra", dest="k_extra", default=8,
+                       type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
                        help="sketch oversampling rows")
-        p.add_argument("--max-scales", dest="max_scales", type=int, default=25)
+        p.add_argument("--max-scales", dest="max_scales", default=25,
+                       type=_checked(int, lambda v: v >= 1, "an integer >= 1"))
 
     p_fit = sub.add_parser("fit", help="fit a sparse model to data")
     p_fit.add_argument("--data", help="training CSV (features..., target)")

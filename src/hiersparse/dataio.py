@@ -21,7 +21,9 @@ from .errors import CSVParseError
 from .hierarchy import ScaleRecord, SparseModel
 from .kernel import Dataset
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# version 1 also stored df_res_inputs (tr U, tr U U^T), which nothing read
+READABLE_VERSIONS = (1, 2)
 
 
 def ingest_csv(path, has_header: bool = False) -> Dataset:
@@ -90,10 +92,6 @@ def model_to_dict(model: SparseModel) -> dict:
         "C_t": model.C_t.tolist(),
         "Lambda_t": [float(v) for v in model.Lambda_t],
         "Q_t": [int(v) for v in model.Q_t],
-        "df_res_inputs": {
-            "trace_U": model.df_res_inputs[0],
-            "trace_UUT": model.df_res_inputs[1],
-        },
         "n_train": model.n_train,
         "history": [_record_to_dict(rec) for rec in model.history],
     }
@@ -108,10 +106,6 @@ def model_from_dict(d: dict) -> SparseModel:
         C_t=np.asarray(d["C_t"], dtype=float),
         Lambda_t=np.asarray(d["Lambda_t"], dtype=float),
         Q_t=tuple(int(v) for v in d["Q_t"]),
-        df_res_inputs=(
-            float(d["df_res_inputs"]["trace_U"]),
-            float(d["df_res_inputs"]["trace_UUT"]),
-        ),
         n_train=int(d["n_train"]),
         history=[_record_from_dict(r) for r in d["history"]],
     )
@@ -130,7 +124,7 @@ def save_model(path, model: SparseModel, parameters: dict, provenance: dict) -> 
 def load_model(path) -> tuple[SparseModel, dict, dict]:
     payload = json.loads(Path(path).read_text())
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in READABLE_VERSIONS:
         raise ValueError(f"unsupported model schema_version {version!r}")
     model = model_from_dict(payload["model"])
     return model, payload.get("parameters", {}), payload.get("provenance", {})

@@ -1,10 +1,11 @@
 """Scale sweep: fit one regularization network per scale, keep the cheapest.
 
 Scales are visited in order with epsilon_s = T / M**s until the Gram matrix
-reaches full numerical rank (or a safety cap).  The incumbent is replaced
-only on strictly smaller GCV cost, so cost ties resolve to the earlier,
-sparser scale.  The returned model carries everything mean prediction needs:
-the selected points, their coefficients, and the convergence length scale.
+reaches full numerical rank over the distinct points (or a safety cap).  The
+incumbent is replaced only on strictly smaller GCV cost, so cost ties resolve
+to the earlier, sparser scale.  The returned model carries everything mean
+prediction needs: the selected points, their coefficients, and the
+convergence length scale.
 """
 from __future__ import annotations
 
@@ -13,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ScaleUnfitError
-from .kernel import Dataset, ScaleConfig, diameter_T, gram, length_scale, numerical_rank
-from .network import influence_traces, optimize_gcv
-from .penalty import PenaltySpec, penalty_operator
+from .kernel import Dataset, diameter_T, gram, length_scale, numerical_rank
+from .network import optimize_gcv
 from .sparsify import pivoted_qr_permutation, select_basis, sketch
 
 
@@ -37,7 +37,8 @@ class ScaleRecord:
 
 @dataclass
 class SparseModel:
-    """Convergence-scale payload: sparse representation plus sparse model."""
+    """Convergence-scale payload: sparse representation (X_t, Y_t) plus sparse
+    model (epsilon_t, C_t, Lambda_t, Q_t)."""
 
     t: int
     epsilon_t: float
@@ -46,7 +47,6 @@ class SparseModel:
     C_t: np.ndarray
     Lambda_t: np.ndarray
     Q_t: tuple[int, ...]
-    df_res_inputs: tuple[float, float]
     n_train: int
     history: list[ScaleRecord] = field(default_factory=list)
 
@@ -73,27 +73,27 @@ def fit(
     Each scale builds the Gram matrix, estimates its numerical rank l_s,
     selects l_s representative points by sketched column-pivoted QR (sketch
     seeded with ``seed + s``), and optimizes the network.  The sweep stops
-    once l_s reaches n or ``max_scales`` scales have been fit.  A scale whose
+    once l_s reaches the number of distinct points in X (the Gram rank cannot
+    exceed it) or ``max_scales`` scales have been fit.  A scale whose
     optimization degenerates is recorded with infinite cost and skipped.
     """
     X, Y, n = dataset.X, dataset.Y, dataset.n
     if n < 2:
         raise ValueError("need at least two points to fit")
     T_val = diameter_T(X) if isinstance(T, str) else float(T)
-    ScaleConfig(T=T_val, M=M, phi=phi, k_extra=k_extra)  # validates the knob set
+    n_distinct = np.unique(X, axis=0).shape[0]
 
     history: list[ScaleRecord] = []
-    best = None
+    best, best_cost = None, np.inf
     s = 0
     l_s = 0
-    while l_s < n and s < max_scales:
+    while l_s < n_distinct and s < max_scales:
         eps = length_scale(T_val, M, s)
-        gm = gram(X, eps)
-        l_s = numerical_rank(gm.G, phi)
+        G = gram(X, eps)
+        l_s = numerical_rank(G, phi)
         scale_seed = seed + s
-        W = sketch(gm.G, l_s, k_extra, scale_seed)
-        pivot = pivoted_qr_permutation(W.W)
-        basis = select_basis(gm.G, pivot, l_s)
+        pivot = pivoted_qr_permutation(sketch(G, l_s, k_extra, scale_seed))
+        basis = select_basis(G, pivot, l_s)
         centers = X[basis.selected]
         comp = compression_ratio(l_s, n)
         try:
@@ -107,33 +107,21 @@ def fit(
         history.append(
             ScaleRecord(s, eps, l_s, comp, fs.cost, fs.lam, fs.q, scale_seed, centers)
         )
-        if best is None or fs.cost < best["cost"]:
-            P_hat = penalty_operator(PenaltySpec(fs.q, fs.lam), centers).P
-            tr_u, tr_uut = influence_traces(basis.B, P_hat, n)
-            best = {
-                "cost": fs.cost,
-                "t": s,
-                "epsilon_t": eps,
-                "X_t": centers,
-                "Y_t": Y[basis.selected].copy(),
-                "C_t": fs.theta,
-                "Lambda_t": fs.lam,
-                "Q_t": fs.q,
-                "traces": (tr_u, tr_uut),
-            }
+        if fs.cost < best_cost:
+            best_cost = fs.cost
+            best = SparseModel(
+                t=s,
+                epsilon_t=eps,
+                X_t=centers,
+                Y_t=Y[basis.selected].copy(),
+                C_t=fs.theta,
+                Lambda_t=fs.lam,
+                Q_t=fs.q,
+                n_train=n,
+                history=history,
+            )
         s += 1
 
     if best is None:
         raise FitError("no scale produced a usable fit")
-    return SparseModel(
-        t=best["t"],
-        epsilon_t=best["epsilon_t"],
-        X_t=best["X_t"],
-        Y_t=best["Y_t"],
-        C_t=best["C_t"],
-        Lambda_t=best["Lambda_t"],
-        Q_t=best["Q_t"],
-        df_res_inputs=best["traces"],
-        n_train=n,
-        history=history,
-    )
+    return best

@@ -48,41 +48,6 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class ScaleConfig:
-    """Scale-ladder parameters; ``epsilon_s`` is always ``T / M**s``."""
-
-    T: float
-    M: float = 2.0
-    s: int = 0
-    phi: float = 1e-10
-    k_extra: int = 8
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be positive")
-        if not self.M > 1:
-            raise ValueError("M must exceed 1")
-        if self.s < 0:
-            raise ValueError("scale index must be nonnegative")
-        if not 0 < self.phi < 1:
-            raise ValueError("phi must lie in (0, 1)")
-        if self.k_extra < 0:
-            raise ValueError("k_extra must be nonnegative")
-
-    @property
-    def epsilon_s(self) -> float:
-        return length_scale(self.T, self.M, self.s)
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric unit-diagonal kernel matrix together with its length scale."""
-
-    G: np.ndarray
-    epsilon_s: float
-
-
 def diameter_T(X: np.ndarray) -> float:
     """Base squared-distance scale from the most distant pair: ``diam(X)**2 / 2``.
 
@@ -137,13 +102,13 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, epsilon: float) -> np.ndarray:
     return np.exp(-_sq_distances(A, B) / epsilon)
 
 
-def gram(X: np.ndarray, epsilon_s: float) -> GramMatrix:
+def gram(X: np.ndarray, epsilon_s: float) -> np.ndarray:
     """Scale-s Gram matrix on X; exactly symmetric with unit diagonal."""
     G = kernel_matrix(X, X, epsilon_s)
     lower = np.tril(G, -1)
     G = lower + lower.T
     np.fill_diagonal(G, 1.0)
-    return GramMatrix(G=G, epsilon_s=float(epsilon_s))
+    return G
 
 
 def numerical_rank(G: np.ndarray, phi: float) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy.linalg.lapack import dsygst, dtrtri
 
 from .errors import DegenerateGCVError, IllConditionedScaleError, ScaleUnfitError
 from .kernel import kernel_matrix
-from .penalty import component_action, penalty_components
+from .penalty import component_action, penalty_components, weighted_penalty
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,9 +49,6 @@ class FittedScale:
     lam: np.ndarray
     q: tuple[int, ...]
     cost: float
-    trace_u: float
-    fitted: np.ndarray
-    comp: float
 
 
 @dataclass
@@ -88,63 +86,73 @@ def _default_jitter(C: np.ndarray) -> float:
     return 1e-12 * float(np.trace(C)) / C.shape[0]
 
 
+class _PenalizedSystem:
+    """The penalized normal equations S = C + n P of basis B, factored once.
+
+    C = B^T B unless the caller passes it.  S = L L^T by ``_factor`` (one
+    jittered retry).  With V = L^{-1} B^T the influence traces are
+    tr U = ||V||^2 and tr U U^T = ||V V^T||^2; V and the traces are formed
+    only when first read.
+    """
+
+    def __init__(self, B: np.ndarray, P: np.ndarray, n: int, C: np.ndarray | None = None):
+        self.B = B
+        C = B.T @ B if C is None else C
+        self.factor = _factor(C + n * P, _default_jitter(C))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve(self.factor, rhs, check_finite=False)
+
+    def quad_form(self, B_m: np.ndarray) -> np.ndarray:
+        """diag(B_m S^{-1} B_m^T), from the column norms of L^{-1} B_m^T."""
+        W = solve_triangular(self.factor[0], B_m.T, lower=True, check_finite=False)
+        return np.sum(W * W, axis=0)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return solve_triangular(self.factor[0], self.B.T, lower=True, check_finite=False)
+
+    @cached_property
+    def trace_u(self) -> float:
+        return float(np.sum(self.V * self.V))
+
+    @cached_property
+    def trace_uut(self) -> float:
+        M = self.V @ self.V.T
+        return float(np.sum(M * M))
+
+
 def solve_weights(B: np.ndarray, Y: np.ndarray, P: np.ndarray, n: int) -> np.ndarray:
     """theta = (B^T B + n P)^{-1} B^T Y via Cholesky, never an explicit inverse."""
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
-    C = B.T @ B
-    factor = _factor(C + n * np.asarray(P, dtype=float), _default_jitter(C))
-    return cho_solve(factor, B.T @ Y)
+    return _PenalizedSystem(B, np.asarray(P, dtype=float), n).solve(B.T @ Y)
 
 
 def influence_matrix(B: np.ndarray, P: np.ndarray, n: int) -> np.ndarray:
     """Full hat matrix U = B (B^T B + n P)^{-1} B^T (n x n; on-demand only)."""
     B = np.asarray(B, dtype=float)
-    C = B.T @ B
-    factor = _factor(C + n * np.asarray(P, dtype=float), _default_jitter(C))
-    return B @ cho_solve(factor, B.T)
+    return B @ _PenalizedSystem(B, np.asarray(P, dtype=float), n).solve(B.T)
 
 
 def influence_traces(B: np.ndarray, P: np.ndarray, n: int) -> tuple[float, float]:
     """(tr U, tr U U^T) from the factorization, without forming U."""
-    B = np.asarray(B, dtype=float)
-    C = B.T @ B
-    factor = _factor(C + n * np.asarray(P, dtype=float), _default_jitter(C))
-    V = solve_triangular(factor[0], B.T, lower=True)
-    tr_u = float(np.sum(V * V))
-    M = V @ V.T
-    tr_uut = float(np.sum(M * M))
-    return tr_u, tr_uut
+    system = _PenalizedSystem(np.asarray(B, dtype=float), np.asarray(P, dtype=float), n)
+    return system.trace_u, system.trace_uut
 
 
 def gcv(B: np.ndarray, Y: np.ndarray, P: np.ndarray, n: int) -> float:
     """GCV score of the penalized fit; raises when tr(I - U) vanishes."""
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
-    C = B.T @ B
-    factor = _factor(C + n * np.asarray(P, dtype=float), _default_jitter(C))
-    V = solve_triangular(factor[0], B.T, lower=True)
-    tr_u = float(np.sum(V * V))
-    denom = n - tr_u
+    system = _PenalizedSystem(B, np.asarray(P, dtype=float), n)
+    denom = n - system.trace_u
     if denom <= n * 1e-12:
         raise DegenerateGCVError(
             "tr(I - U) = 0: unpenalized full-rank interpolation has no GCV score"
         )
-    theta = cho_solve(factor, B.T @ Y)
-    resid = Y - B @ theta
+    resid = Y - B @ system.solve(B.T @ Y)
     return n * float(resid @ resid) / denom**2
-
-
-def _solve_at(B, Y, psis, n, lam) -> tuple[np.ndarray, float]:
-    """Weights and tr(U) at a fixed penalty point, via the Cholesky route."""
-    C = B.T @ B
-    S = C.copy()
-    for lam_i, psi in zip(lam, psis):
-        S += (n * float(lam_i)) * psi
-    factor = _factor(S, _default_jitter(C))
-    V = solve_triangular(factor[0], B.T, lower=True, check_finite=False)
-    theta = cho_solve(factor, B.T @ Y, check_finite=False)
-    return theta, float(np.sum(V * V))
 
 
 class _PencilLine:
@@ -218,7 +226,7 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
 class _GCVSurface:
     """GCV as a function of log10 weights rho for fixed orders ``q``.
 
-    ``at(rho)`` sums and factors S = C + n P as ``gcv`` does, so a point's
+    ``at(rho)`` sums P and forms S = C + n P as ``gcv`` does, so a point's
     ``cost`` is that score at Lambda = 10**rho (+inf when S cannot be
     factored or tr(I - U) vanishes).  ``derivatives(point)`` gives its
     gradient and Hessian in rho.  With S = L L^T, V = L^{-1} B^T,
@@ -238,35 +246,30 @@ class _GCVSurface:
     def __init__(self, B, Y, C, centers, n, q, psis):
         self.B, self.Y, self.C, self.n, self.psis = B, Y, C, n, psis
         self.BtY = B.T @ Y
-        self.jitter = _default_jitter(C)
         self.actions = [component_action(qi, centers, i) for i, qi in enumerate(q)]
 
     def at(self, rho: np.ndarray) -> SimpleNamespace:
         n, lam = self.n, 10.0**rho
         point = SimpleNamespace(rho=rho, lam=lam, cost=np.inf)
-        P = np.zeros_like(self.C)
-        for lam_i, psi in zip(lam, self.psis):
-            P += lam_i * psi
         try:
-            point.factor = _factor(self.C + n * P, self.jitter)
+            point.system = _PenalizedSystem(self.B, weighted_penalty(lam, self.psis), n, self.C)
         except IllConditionedScaleError:
             return point
-        point.V = solve_triangular(point.factor[0], self.B.T, lower=True, check_finite=False)
-        point.denom = n - float(np.sum(point.V * point.V))
+        point.denom = n - point.system.trace_u
         if point.denom <= n * 1e-12:
             return point
-        point.theta = cho_solve(point.factor, self.BtY, check_finite=False)
+        point.theta = point.system.solve(self.BtY)
         point.resid = self.Y - self.B @ point.theta
         point.cost = n * float(point.resid @ point.resid) / point.denom**2
         return point
 
     def derivatives(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian of the cost in log10 Lambda at ``point``."""
-        n, d, factor = self.n, len(self.psis), point.factor
-        Linv, info = dtrtri(factor[0], lower=1)
+        n, d, system = self.n, len(self.psis), point.system
+        Linv, info = dtrtri(system.factor[0], lower=1)
         if info != 0:
             raise LinAlgError(f"dtrtri: info {info}")
-        A = dtrmm(1.0, Linv, point.V, lower=1, trans_a=1)
+        A = dtrmm(1.0, Linv, system.V, lower=1, trans_a=1)
         scale = n * point.lam
         dtau, Z = np.empty(d), []
         for i, (s_i, act) in enumerate(zip(scale, self.actions)):
@@ -276,8 +279,8 @@ class _GCVSurface:
         del A, R
         d2tau = np.diag(dtau)
         Ptheta = [s_i * act(point.theta) for s_i, act in zip(scale, self.actions)]
-        dtheta = [-cho_solve(factor, v, check_finite=False) for v in Ptheta]
-        w = cho_solve(factor, self.B.T @ point.resid, check_finite=False)
+        dtheta = [-system.solve(v) for v in Ptheta]
+        w = system.solve(self.B.T @ point.resid)
         Bdtheta = self.B @ np.column_stack(dtheta)
         drss = np.array([2.0 * float(w @ v) for v in Ptheta])
         d2rss = np.diag(drss) + 2.0 * (Bdtheta.T @ Bdtheta)
@@ -462,7 +465,6 @@ def optimize_gcv(
     Y = np.asarray(Y, dtype=float).ravel()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = centers.shape[1]
-    l = B.shape[1]
 
     psi_by_dim_q = {
         (i, q): psi
@@ -484,16 +486,9 @@ def optimize_gcv(
     if not np.isfinite(cost):
         raise ScaleUnfitError("every penalty candidate was degenerate at this scale")
 
-    theta, trace_u = _solve_at(B, Y, psis, n, lam)
-    return FittedScale(
-        theta=theta,
-        lam=lam,
-        q=q_combo,
-        cost=cost,
-        trace_u=trace_u,
-        fitted=B @ theta,
-        comp=1.0 - l / n,
-    )
+    # the weights solve the winner's system exactly as ``solve_weights`` does
+    theta = _PenalizedSystem(B, weighted_penalty(lam, psis), n).solve(B.T @ Y)
+    return FittedScale(theta=theta, lam=lam, q=q_combo, cost=cost)
 
 
 def representer(
@@ -516,10 +511,8 @@ def representer(
     R_x = kernel_matrix(np.atleast_2d(np.asarray(x, dtype=float)), X, epsilon_s).ravel()
     r_sel = R_x[np.asarray(selected, dtype=int)]
     C = B.T @ B
-    jitter = _default_jitter(C)
-    factor_s = _factor(C + n * np.asarray(P, dtype=float), jitter)
-    factor_0 = _factor(C, jitter)
-    M_lambda = B @ cho_solve(factor_s, r_sel)
-    M_zero = B @ cho_solve(factor_0, r_sel)
-    a = float((B.T @ M_zero) @ cho_solve(factor_s, B.T @ R_x))
+    penalized = _PenalizedSystem(B, np.asarray(P, dtype=float), n, C)
+    M_lambda = B @ penalized.solve(r_sel)
+    M_zero = B @ _PenalizedSystem(B, np.zeros_like(C), n, C).solve(r_sel)
+    a = float((B.T @ M_zero) @ penalized.solve(B.T @ R_x))
     return RepresenterOracle(M_lambda=M_lambda, M_zero=M_zero, R_x=R_x, a=a)

@@ -125,8 +125,12 @@ def component_action(q: int, points: np.ndarray, dim: int):
 def penalty_operator(spec: PenaltySpec, points: np.ndarray) -> PenaltyMatrix:
     """Weighted sum of the per-dimension difference forms; symmetric PSD."""
     comps = penalty_components(spec.Q, points)
-    m = comps[0].shape[0]
-    P = np.zeros((m, m))
-    for lam_i, psi in zip(spec.Lambda, comps):
+    return PenaltyMatrix(P=weighted_penalty(spec.Lambda, comps), per_dim=tuple(comps))
+
+
+def weighted_penalty(Lambda, comps) -> np.ndarray:
+    """P = sum_i lambda_i Psi_i, accumulated in dimension order."""
+    P = np.zeros_like(comps[0])
+    for lam_i, psi in zip(Lambda, comps):
         P += lam_i * psi
-    return PenaltyMatrix(P=P, per_dim=tuple(comps))
+    return P

@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateDofError
 from .hierarchy import SparseModel
 from .kernel import Dataset, kernel_matrix
-from .network import _default_jitter, _factor
+from .network import _PenalizedSystem
 from .penalty import PenaltySpec, penalty_operator
 from .tdist import t_quantile
 
@@ -59,26 +58,24 @@ def _penalty_at_convergence(model: SparseModel) -> np.ndarray:
 
 
 def _noise_fit(model: SparseModel, dataset: Dataset):
-    """Shared CI plumbing: full-data basis, factorization, sigma^2, dof."""
+    """Shared CI plumbing: the full-data penalized system, sigma^2 and dof."""
     if dataset.d != model.X_t.shape[1]:
         raise ValueError("training data dimension does not match model")
     n = dataset.n
     B_t = kernel_matrix(dataset.X, model.X_t, model.epsilon_t)
-    P_hat = _penalty_at_convergence(model)
-    C = B_t.T @ B_t
-    factor = _factor(C + n * P_hat, _default_jitter(C))
-    V = solve_triangular(factor[0], B_t.T, lower=True)
-    tr_u = float(np.sum(V * V))
-    M = V @ V.T
-    tr_uut = float(np.sum(M * M))
-    df_res = n - 2.0 * tr_u + tr_uut
+    system = _PenalizedSystem(B_t, _penalty_at_convergence(model), n)
+    df_res = n - 2.0 * system.trace_u + system.trace_uut
     if df_res <= 0:
         raise DegenerateDofError(
             f"residual degrees of freedom {df_res:.3g} <= 0; intervals suppressed"
         )
     resid = dataset.Y - B_t @ model.C_t
     sigma2 = float(resid @ resid) / df_res
-    return factor, sigma2, df_res
+    return system, sigma2, df_res
+
+
+def _std(system: _PenalizedSystem, sigma2: float, B_m: np.ndarray) -> np.ndarray:
+    return np.sqrt(sigma2) * np.sqrt(np.maximum(system.quad_form(B_m), 0.0))
 
 
 def sigma2_hat(model: SparseModel, dataset: Dataset) -> float:
@@ -97,11 +94,8 @@ def residual_dof(model: SparseModel, dataset: Dataset) -> float:
 def predict_std(model: SparseModel, dataset: Dataset, X_m: np.ndarray) -> np.ndarray:
     """Pointwise standard error sigma * sqrt(b(x) (B^T B + n P)^{-1} b(x)^T)."""
     X_m = _query_matrix(model, X_m)
-    factor, sigma2, _ = _noise_fit(model, dataset)
-    B_m = kernel_matrix(X_m, model.X_t, model.epsilon_t)
-    V = solve_triangular(factor[0], B_m.T, lower=True)
-    quad = np.sum(V * V, axis=0)
-    return np.sqrt(sigma2) * np.sqrt(np.maximum(quad, 0.0))
+    system, sigma2, _ = _noise_fit(model, dataset)
+    return _std(system, sigma2, kernel_matrix(X_m, model.X_t, model.epsilon_t))
 
 
 def confidence_intervals(
@@ -121,12 +115,10 @@ def predict_intervals(
 ) -> PredictionSet:
     """Mean prediction with t-confidence bounds at level 1 - alpha."""
     X_m = _query_matrix(model, X_m)
-    factor, sigma2, df_res = _noise_fit(model, dataset)
+    system, sigma2, df_res = _noise_fit(model, dataset)
     B_m = kernel_matrix(X_m, model.X_t, model.epsilon_t)
     mean = B_m @ model.C_t
-    V = solve_triangular(factor[0], B_m.T, lower=True)
-    quad = np.sum(V * V, axis=0)
-    std = np.sqrt(sigma2) * np.sqrt(np.maximum(quad, 0.0))
+    std = _std(system, sigma2, B_m)
     lower, upper = confidence_intervals(mean, std, df_res, alpha)
     return PredictionSet(
         X_m=X_m,

@@ -17,15 +17,6 @@ from scipy.linalg import qr
 
 
 @dataclass(frozen=True)
-class SketchMatrix:
-    """Bias-removal sketch ``W = A G`` with ``k = min(n, l_s + k_extra)`` rows."""
-
-    W: np.ndarray
-    k: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class ScaleBasis:
     """Pivot order, the first ``l_s`` selected indices, and their Gram columns."""
 
@@ -35,16 +26,19 @@ class ScaleBasis:
     l_s: int
 
 
-def sketch(G: np.ndarray, l_s: int, k_extra: int, seed: int) -> SketchMatrix:
-    """Project G onto ``k`` random Gaussian rows; deterministic per seed."""
+def sketch(G: np.ndarray, l_s: int, k_extra: int, seed: int) -> np.ndarray:
+    """Bias-removal sketch ``W = A G`` on ``k = min(n, l_s + k_extra)`` random
+    Gaussian rows ``A``; deterministic per seed."""
     G = np.asarray(G, dtype=float)
     if l_s < 1:
         raise ValueError("rank must be at least 1")
+    if k_extra < 0:
+        raise ValueError("k_extra must be nonnegative")
     n = G.shape[0]
     k = min(n, l_s + k_extra)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((k, n))
-    return SketchMatrix(W=A @ G, k=k, seed=seed)
+    return A @ G
 
 
 def pivoted_qr(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

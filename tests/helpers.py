@@ -161,16 +161,15 @@ def make_basis_problem(
     ds = make_dataset(n, d, seed, noise=noise)
     T = diameter_T(ds.X)
     eps = T / 2.0**s
-    gm = gram(ds.X, eps)
-    l = numerical_rank(gm.G, phi)
-    W = sketch(gm.G, l, 8, seed)
-    pivot = pivoted_qr_permutation(W.W)
-    basis = select_basis(gm.G, pivot, l)
+    G = gram(ds.X, eps)
+    l = numerical_rank(G, phi)
+    pivot = pivoted_qr_permutation(sketch(G, l, 8, seed))
+    basis = select_basis(G, pivot, l)
     return {
         "dataset": ds,
         "X": ds.X,
         "Y": ds.Y,
-        "G": gm.G,
+        "G": G,
         "B": basis.B,
         "centers": ds.X[basis.selected],
         "selected": basis.selected,

@@ -81,6 +81,18 @@ class TestFit:
             _run("fit", "--bogus")
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--phi", "2"), ("--M", "0.5"), ("--k-extra", "-3"), ("--max-scales", "0")]
+    )
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            _run("fit", "--synth", "schwefel1d", "--n", "40", "--noise", "1",
+                 flag, value, "--out", str(out))
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_mean_only_needs_model_alone(self, tmp_path):

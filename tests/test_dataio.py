@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hiersparse import CSVParseError, Dataset, SynthSpec, fit, sample
+from hiersparse import (
+    CSVParseError,
+    Dataset,
+    SynthSpec,
+    fit,
+    predict_intervals,
+    predict_mean,
+    sample,
+)
 from hiersparse.dataio import (
     export_dataset_csv,
     ingest_csv,
@@ -135,7 +143,6 @@ class TestModelFile:
         assert np.array_equal(loaded.C_t, model.C_t)
         assert np.array_equal(loaded.Lambda_t, model.Lambda_t)
         assert loaded.Q_t == model.Q_t
-        assert loaded.df_res_inputs == model.df_res_inputs
         assert loaded.n_train == model.n_train
         assert len(loaded.history) == len(model.history)
         for a, b in zip(loaded.history, model.history):
@@ -159,6 +166,26 @@ class TestModelFile:
         back = model_from_dict(json.loads(json.dumps(d)))
         assert math.isinf(back.history[0].cost)
         assert back.history[0].lam is None and back.history[0].q is None
+
+    def test_version_one_file_predicts_as_its_rewrite(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ds = Dataset(X=rng.uniform(0, 1, size=(40, 1)), Y=rng.standard_normal(40))
+        model = fit(ds, seed=3)
+        v2, v1 = tmp_path / "v2.json", tmp_path / "v1.json"
+        save_model(v2, model, {}, {})
+        payload = json.loads(v2.read_text())
+        assert payload["schema_version"] == 2 and "df_res_inputs" not in payload["model"]
+        # a version-1 file also carried the influence traces at the winner
+        payload["schema_version"] = 1
+        payload["model"]["df_res_inputs"] = {"trace_U": 5.0, "trace_UUT": 4.0}
+        v1.write_text(json.dumps(payload))
+        old, new = load_model(v1)[0], load_model(v2)[0]
+        X_m = np.linspace(0.0, 1.0, 7)[:, None]
+        assert np.array_equal(predict_mean(old, X_m), predict_mean(new, X_m))
+        a, b = predict_intervals(old, ds, X_m), predict_intervals(new, ds, X_m)
+        for name in ("mean", "std", "lower", "upper"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.df_res, a.sigma2_hat) == (b.df_res, b.sigma2_hat)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -42,6 +42,23 @@ class TestFitLoop:
         assert model.history[-1].l_s == 40
         assert all(rec.l_s < 40 for rec in model.history[:-1])
 
+    def test_repeated_rows_stop_at_the_distinct_point_count(self):
+        rng = np.random.default_rng(0)
+        X = np.repeat(rng.uniform(0.0, 1.0, 100), 2)[:, None]
+        ds = Dataset(X=X, Y=np.sin(6.0 * X[:, 0]) + 0.1 * rng.standard_normal(200))
+        model = fit(ds, seed=0)
+        ls = [rec.l_s for rec in model.history]
+        assert ls[-1] == 100 and all(l_s < 100 for l_s in ls[:-1])
+        # every scale the sweep skips, up to the default cap of 25, fit on its
+        # own (T = its epsilon_s, its seed): its rank is already 100, so that
+        # sweep is one scale, and none beats the winner, so t, Q_t and C_t are
+        # those of the uncapped sweep
+        T = model.history[0].epsilon_s
+        for s in range(len(ls), 25):
+            alone = fit(ds, T=T / 2.0**s, seed=s)
+            assert len(alone.history) == 1 and alone.history[0].l_s == 100
+            assert alone.history[0].cost >= model.history[model.t].cost
+
     def test_rank_nondecreasing_and_comp_nonincreasing(self):
         model = fit(_small_dataset(seed=2), seed=2)
         ls = [rec.l_s for rec in model.history]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hiersparse import (
     Dataset,
     DegenerateGeometryError,
-    ScaleConfig,
     diameter_T,
     gram,
     kernel_matrix,
@@ -80,47 +79,34 @@ class TestLengthScale:
             length_scale(1.0, 1.0, 1)
 
 
-class TestScaleConfig:
-    def test_epsilon_matches_formula(self):
-        cfg = ScaleConfig(T=8.0, M=2.0, s=3)
-        assert cfg.epsilon_s == 1.0
-        assert cfg.phi == 1e-10 and cfg.k_extra == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScaleConfig(T=1.0, M=2.0, phi=1.5)
-        with pytest.raises(ValueError):
-            ScaleConfig(T=1.0, M=0.5)
-
-
 class TestGram:
     def test_unit_diagonal_and_known_entry(self):
         X = np.array([[0.0], [1.0]])
-        gm = gram(X, 1.0)  # squared distance equals epsilon
-        assert gm.G[0, 0] == 1.0 and gm.G[1, 1] == 1.0
-        assert gm.G[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        G = gram(X, 1.0)  # squared distance equals epsilon
+        assert G[0, 0] == 1.0 and G[1, 1] == 1.0
+        assert G[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_three_point_line(self):
-        gm = gram(np.array([[0.0], [1.0], [2.0]]), 1.0)
-        assert gm.G[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-14)
-        assert gm.G[0, 2] == pytest.approx(np.exp(-4.0), rel=1e-14)
-        assert gm.G[1, 2] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        G = gram(np.array([[0.0], [1.0], [2.0]]), 1.0)
+        assert G[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        assert G[0, 2] == pytest.approx(np.exp(-4.0), rel=1e-14)
+        assert G[1, 2] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(0)
-        gm = gram(rng.standard_normal((30, 3)), 2.0)
-        assert np.array_equal(gm.G, gm.G.T)
+        G = gram(rng.standard_normal((30, 3)), 2.0)
+        assert np.array_equal(G, G.T)
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        gm = gram(rng.standard_normal((20, 2)), 0.5)
-        assert np.all(gm.G > 0.0) and np.all(gm.G <= 1.0)
+        G = gram(rng.standard_normal((20, 2)), 0.5)
+        assert np.all(G > 0.0) and np.all(G <= 1.0)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(7)
         n = 40
-        gm = gram(rng.uniform(0, 1, size=(n, 2)), 0.3)
-        assert np.linalg.eigvalsh(gm.G).min() >= -1e-8 * n
+        G = gram(rng.uniform(0, 1, size=(n, 2)), 0.3)
+        assert np.linalg.eigvalsh(G).min() >= -1e-8 * n
 
     def test_nonfinite_coordinates_rejected(self):
         with pytest.raises(ValueError):
@@ -149,10 +135,10 @@ class TestNumericalRank:
         X = np.vstack(
             [rng.normal(0.0, 1e-3, size=(10, 1)), rng.normal(5.0, 1e-3, size=(10, 1))]
         )
-        gm = gram(X, 100.0)
-        sv = np.linalg.svd(gm.G, compute_uv=False)
+        G = gram(X, 100.0)
+        sv = np.linalg.svd(G, compute_uv=False)
         expect = int(np.sum(sv / sv[0] >= 1e-6))
-        got = numerical_rank(gm.G, 1e-6)
+        got = numerical_rank(G, 1e-6)
         assert got == expect
         assert got <= 4  # two tight clusters at a coarse scale collapse
 
@@ -160,16 +146,16 @@ class TestNumericalRank:
     @settings(max_examples=15, deadline=None)
     def test_monotone_nonincreasing_in_phi(self, seed):
         rng = np.random.default_rng(seed)
-        gm = gram(rng.uniform(0, 1, size=(12, 1)), 0.5)
+        G = gram(rng.uniform(0, 1, size=(12, 1)), 0.5)
         phis = [1e-14, 1e-10, 1e-6, 1e-3, 1e-1, 0.9]
-        ranks = [numerical_rank(gm.G, p) for p in phis]
+        ranks = [numerical_rank(G, p) for p in phis]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
     def test_rank_nondecreasing_across_scales(self):
         rng = np.random.default_rng(11)
         X = rng.uniform(0, 1, size=(60, 1))
         T = diameter_T(X)
-        ranks = [numerical_rank(gram(X, T / 2.0**s).G, 1e-10) for s in range(12)]
+        ranks = [numerical_rank(gram(X, T / 2.0**s), 1e-10) for s in range(12)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
     def test_phi_out_of_range(self):

@@ -133,7 +133,7 @@ class TestOptimize:
         Y = rng.standard_normal(60)  # no structure at all
         prob = make_basis_problem(60, 1, seed=9, s=1)  # coarse basis
         fs = optimize_gcv(prob["B"], Y, prob["centers"], prob["n"])
-        assert np.var(fs.fitted) < np.var(Y)
+        assert np.var(prob["B"] @ fs.theta) < np.var(Y)
         assert fs.cost > 0.0
 
     def test_linear_data_prefers_second_order(self):
@@ -144,9 +144,9 @@ class TestOptimize:
         Y = 2.0 * X[:, 0] + 1.0 + 0.05 * rng.standard_normal(40)
         from hiersparse import diameter_T, gram, numerical_rank, pivoted_qr_permutation, select_basis, sketch
 
-        G = gram(X, diameter_T(X) / 4.0).G
+        G = gram(X, diameter_T(X) / 4.0)
         l = numerical_rank(G, 1e-10)
-        basis = select_basis(G, pivoted_qr_permutation(sketch(G, l, 8, 0).W), l)
+        basis = select_basis(G, pivoted_qr_permutation(sketch(G, l, 8, 0)), l)
         centers = X[basis.selected]
         _, cost_q1 = optimize_lambda(basis.B, Y, centers, 40, (1,))
         _, cost_q2 = optimize_lambda(basis.B, Y, centers, 40, (2,))
@@ -169,12 +169,18 @@ class TestOptimize:
         prob = make_basis_problem(30, 1, seed=12)
         fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
         assert fs.theta.shape == (prob["l"],)
-        assert fs.comp == pytest.approx(1.0 - prob["l"] / prob["n"])
         assert np.all(fs.lam > 0.0)
         # fitted values reproduce the influence-matrix action
         P = penalty_operator(PenaltySpec(fs.q, fs.lam), prob["centers"]).P
         U = influence_matrix(prob["B"], P, prob["n"])
-        assert rel_err(fs.fitted, U @ prob["Y"]) < 1e-8
+        assert rel_err(prob["B"] @ fs.theta, U @ prob["Y"]) < 1e-8
+
+    @pytest.mark.parametrize("d, n, seed, s", [(1, 60, 3, 3), (2, 80, 4, 2), (3, 40, 5, 1)])
+    def test_weights_are_the_solve_weights_result_bit_for_bit(self, d, n, seed, s):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+        fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
+        P = penalty_operator(PenaltySpec(fs.q, fs.lam), prob["centers"]).P
+        assert np.array_equal(fs.theta, solve_weights(prob["B"], prob["Y"], P, n))
 
     def test_three_dimensional_coordinate_descent_path(self):
         prob = make_basis_problem(25, 3, seed=13, s=1, noise=0.2)

@@ -31,7 +31,6 @@ def _manual_model(X_t, C_t, eps=1.0, lam=(1.0,), q=(1,), n_train=5):
         C_t=np.asarray(C_t, dtype=float),
         Lambda_t=np.asarray(lam, dtype=float),
         Q_t=tuple(q),
-        df_res_inputs=(0.0, 0.0),
         n_train=n_train,
         history=[],
     )

@@ -17,30 +17,33 @@ from helpers import greedy_pivot_oracle
 
 def _random_gram(n, seed, eps=0.5):
     rng = np.random.default_rng(seed)
-    return gram(rng.uniform(0, 1, size=(n, 2)), eps).G
+    return gram(rng.uniform(0, 1, size=(n, 2)), eps)
 
 
 class TestSketch:
     def test_oversampled_shape(self):
         W = sketch(_random_gram(100, 0), l_s=20, k_extra=8, seed=1)
-        assert W.W.shape == (28, 100)
-        assert W.k == 28
+        assert W.shape == (28, 100)
 
     def test_row_count_clamped_to_n(self):
         W = sketch(_random_gram(5, 0), l_s=5, k_extra=8, seed=1)
-        assert W.W.shape == (5, 5)
+        assert W.shape == (5, 5)
 
     def test_deterministic_given_seed(self):
         G = _random_gram(30, 3)
-        a = sketch(G, 10, 8, seed=42).W
-        b = sketch(G, 10, 8, seed=42).W
-        c = sketch(G, 10, 8, seed=43).W
+        a = sketch(G, 10, 8, seed=42)
+        b = sketch(G, 10, 8, seed=42)
+        c = sketch(G, 10, 8, seed=43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_requires_positive_rank(self):
         with pytest.raises(ValueError):
             sketch(_random_gram(5, 0), 0, 8, seed=0)
+
+    def test_rejects_negative_oversampling(self):
+        with pytest.raises(ValueError, match="k_extra"):
+            sketch(_random_gram(20, 0), 10, -3, seed=0)
 
 
 class TestPivotedQR:
@@ -121,7 +124,7 @@ class TestSelectBasis:
     def test_selection_is_distinct_subset(self):
         G = _random_gram(40, 5)
         l = numerical_rank(G, 1e-10)
-        perm = pivoted_qr_permutation(sketch(G, l, 8, seed=0).W)
+        perm = pivoted_qr_permutation(sketch(G, l, 8, seed=0))
         basis = select_basis(G, perm, l)
         sel = basis.selected
         assert len(set(sel.tolist())) == l
@@ -133,9 +136,9 @@ class TestSelectBasis:
         right = rng.normal(10.0, 0.05, size=(10, 1))
         X = np.vstack([left, right])
         T = diameter_T(X)
-        G = gram(X, T).G
+        G = gram(X, T)
         l = numerical_rank(G, 1e-10)
-        perm = pivoted_qr_permutation(sketch(G, l, 8, seed=0).W)
+        perm = pivoted_qr_permutation(sketch(G, l, 8, seed=0))
         first_two = perm[:2]
         sides = {int(idx >= 10) for idx in first_two}
         assert sides == {0, 1}  # one representative per cluster
@@ -144,8 +147,8 @@ class TestSelectBasis:
         rng = np.random.default_rng(12)
         X = rng.uniform(0, 1, size=(50, 1))
         T = diameter_T(X)
-        G = gram(X, T / 8.0).G
+        G = gram(X, T / 8.0)
         l = numerical_rank(G, 1e-10)
-        basis = select_basis(G, pivoted_qr_permutation(sketch(G, l, 8, 1).W), l)
+        basis = select_basis(G, pivoted_qr_permutation(sketch(G, l, 8, 1)), l)
         sv = np.linalg.svd(basis.B, compute_uv=False)
         assert int(np.sum(sv / sv[0] >= 1e-10)) == l

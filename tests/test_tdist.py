@@ -3,55 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import betainc as scipy_betainc
+from scipy.special import stdtr
 
-from hiersparse import t_cdf, t_pdf, t_quantile
-from hiersparse.tdist import betainc
-
-
-class TestIncompleteBeta:
-    @given(
-        a=st.floats(0.05, 50.0),
-        b=st.floats(0.05, 50.0),
-        x=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_scipy(self, a, b, x):
-        assert betainc(a, b, x) == pytest.approx(
-            float(scipy_betainc(a, b, x)), abs=1e-12, rel=1e-10
-        )
-
-    def test_endpoints(self):
-        assert betainc(2.0, 3.0, 0.0) == 0.0
-        assert betainc(2.0, 3.0, 1.0) == 1.0
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            betainc(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            betainc(1.0, 1.0, 1.5)
+from hiersparse import t_quantile
 
 
 class TestStudentT:
-    def test_cdf_symmetry_and_median(self):
-        assert t_cdf(0.0, 5.0) == 0.5
-        for x in (0.3, 1.7, 4.0):
-            assert t_cdf(-x, 7.5) == pytest.approx(1.0 - t_cdf(x, 7.5), abs=1e-14)
-
-    def test_cdf_matches_scipy(self):
-        # lgamma(b + 1/2) - lgamma(b) cancellation costs ~5 digits at df=1e5;
-        # 1e-10 absolute is still four orders inside the quantile contract
-        for df in (0.5, 1.0, 2.5, 10.0, 100.0, 1e5):
-            for x in (-8.0, -1.3, -0.2, 0.0, 0.4, 2.0, 25.0):
-                assert t_cdf(x, df) == pytest.approx(
-                    float(stats.t.cdf(x, df)), abs=1e-10
-                )
-
-    def test_pdf_matches_scipy(self):
-        for df in (1.0, 4.0, 50.0):
-            for x in (-3.0, 0.0, 0.7, 5.0):
-                assert t_pdf(x, df) == pytest.approx(float(stats.t.pdf(x, df)), rel=1e-12)
-
     def test_quantile_median_is_zero(self):
         assert t_quantile(0.5, 3.0) == 0.0
 
@@ -74,7 +31,7 @@ class TestStudentT:
     @given(p=st.floats(0.001, 0.999), df=st.floats(0.5, 1e4))
     @settings(max_examples=100, deadline=None)
     def test_quantile_inverts_cdf(self, p, df):
-        assert t_cdf(t_quantile(p, df), df) == pytest.approx(p, abs=1e-9)
+        assert stdtr(df, t_quantile(p, df)) == pytest.approx(p, abs=1e-9)
 
     @given(p=st.floats(0.501, 0.999), df=st.floats(0.5, 100.0))
     @settings(max_examples=60, deadline=None)
