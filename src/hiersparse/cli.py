@@ -284,11 +284,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    in_unit = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
     def add_common_fit(p):
         p.add_argument("--T", default="auto", help="base squared-distance scale or 'auto'")
         p.add_argument("--M", type=_checked(float, lambda v: v > 1, "a number > 1"),
                        default=2.0, help="scale divisor (> 1)")
-        p.add_argument("--phi", type=_checked(float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+        p.add_argument("--phi", type=in_unit,
                        default=1e-10, help="rank precision in (0,1)")
         p.add_argument("--k-extra", dest="k_extra", default=8,
                        type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
@@ -317,7 +318,7 @@ def build_parser() -> _Parser:
     p_pred.add_argument("--query", help="CSV of query points (coordinates only)")
     p_pred.add_argument("--grid", help="query grid lo:hi:count[,lo:hi:count]")
     p_pred.add_argument("--has-header", action="store_true")
-    p_pred.add_argument("--ci", type=float, metavar="ALPHA",
+    p_pred.add_argument("--ci", type=in_unit, metavar="ALPHA",
                         help="emit std and (1-ALPHA) intervals; needs --data")
     p_pred.add_argument("--data", help="training CSV, required with --ci")
     p_pred.add_argument("--out", required=True)
@@ -328,7 +329,7 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--out-dir", dest="out_dir", required=True)
     p_rep.add_argument("--data", help="training CSV; enables the prediction band")
     p_rep.add_argument("--grid", help="band grid lo:hi:count[,lo:hi:count]")
-    p_rep.add_argument("--alpha", type=float, default=0.05)
+    p_rep.add_argument("--alpha", type=in_unit, default=0.05)
     p_rep.add_argument("--has-header", action="store_true")
     p_rep.set_defaults(func=cmd_report)
     return parser

@@ -103,11 +103,6 @@ class _PenalizedSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self.factor, rhs, check_finite=False)
 
-    def quad_form(self, B_m: np.ndarray) -> np.ndarray:
-        """diag(B_m S^{-1} B_m^T), from the column norms of L^{-1} B_m^T."""
-        W = solve_triangular(self.factor[0], B_m.T, lower=True, check_finite=False)
-        return np.sum(W * W, axis=0)
-
     @cached_property
     def V(self) -> np.ndarray:
         return solve_triangular(self.factor[0], self.B.T, lower=True, check_finite=False)

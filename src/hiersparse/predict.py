@@ -3,13 +3,18 @@
 Mean prediction needs only the model payload (epsilon_t, X_t, C_t).  Interval
 prediction additionally rebuilds the basis on the full training inputs to
 estimate the noise variance and the pointwise fit standard error, so it
-requires the original dataset.
+requires the original dataset.  That noise fit (the Cholesky factor of
+B^T B + n P, sigma^2 and df_res) does not depend on the queries: repeated
+interval calls on one (model, dataset) reuse one factorization.  Only the most
+recent one is kept, keyed on the content of the arrays it reads.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import DegenerateDofError
 from .hierarchy import SparseModel
@@ -57,25 +62,48 @@ def _penalty_at_convergence(model: SparseModel) -> np.ndarray:
     return penalty_operator(PenaltySpec(model.Q_t, model.Lambda_t), model.X_t).P
 
 
+# the most recent noise fit, (L, sigma^2, df_res), under its _noise_fit_key;
+# entries are never modified, so a race between threads costs a refit at worst
+_NOISE_FIT_MEMO: dict[bytes, tuple[np.ndarray, float, float]] = {}
+
+
+def _noise_fit_key(model: SparseModel, dataset: Dataset) -> bytes:
+    """Digest of the dtype, shape and bytes of everything the noise fit reads."""
+    digest = hashlib.blake2b(digest_size=20)
+    for part in (dataset.X, dataset.Y, model.X_t, model.C_t, model.epsilon_t,
+                 model.Q_t, model.Lambda_t):
+        a = np.ascontiguousarray(part)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a)
+    return digest.digest()
+
+
 def _noise_fit(model: SparseModel, dataset: Dataset):
-    """Shared CI plumbing: the full-data penalized system, sigma^2 and dof."""
+    """Cholesky factor L of the full-data penalized system, sigma^2 and dof."""
     if dataset.d != model.X_t.shape[1]:
         raise ValueError("training data dimension does not match model")
-    n = dataset.n
-    B_t = kernel_matrix(dataset.X, model.X_t, model.epsilon_t)
-    system = _PenalizedSystem(B_t, _penalty_at_convergence(model), n)
-    df_res = n - 2.0 * system.trace_u + system.trace_uut
-    if df_res <= 0:
-        raise DegenerateDofError(
-            f"residual degrees of freedom {df_res:.3g} <= 0; intervals suppressed"
-        )
-    resid = dataset.Y - B_t @ model.C_t
-    sigma2 = float(resid @ resid) / df_res
-    return system, sigma2, df_res
+    key = _noise_fit_key(model, dataset)
+    noise = _NOISE_FIT_MEMO.get(key)
+    if noise is None:
+        n = dataset.n
+        B_t = kernel_matrix(dataset.X, model.X_t, model.epsilon_t)
+        system = _PenalizedSystem(B_t, _penalty_at_convergence(model), n)
+        df_res = n - 2.0 * system.trace_u + system.trace_uut
+        if df_res <= 0:
+            raise DegenerateDofError(
+                f"residual degrees of freedom {df_res:.3g} <= 0; intervals suppressed"
+            )
+        resid = dataset.Y - B_t @ model.C_t
+        noise = system.factor[0], float(resid @ resid) / df_res, df_res
+        _NOISE_FIT_MEMO.clear()
+        _NOISE_FIT_MEMO[key] = noise
+    return noise
 
 
-def _std(system: _PenalizedSystem, sigma2: float, B_m: np.ndarray) -> np.ndarray:
-    return np.sqrt(sigma2) * np.sqrt(np.maximum(system.quad_form(B_m), 0.0))
+def _std(L: np.ndarray, sigma2: float, B_m: np.ndarray) -> np.ndarray:
+    """sigma * sqrt(diag(B_m S^{-1} B_m^T)), from the column norms of L^{-1} B_m^T."""
+    W = solve_triangular(L, B_m.T, lower=True, check_finite=False)
+    return np.sqrt(sigma2) * np.sqrt(np.maximum(np.sum(W * W, axis=0), 0.0))
 
 
 def sigma2_hat(model: SparseModel, dataset: Dataset) -> float:
@@ -94,16 +122,20 @@ def residual_dof(model: SparseModel, dataset: Dataset) -> float:
 def predict_std(model: SparseModel, dataset: Dataset, X_m: np.ndarray) -> np.ndarray:
     """Pointwise standard error sigma * sqrt(b(x) (B^T B + n P)^{-1} b(x)^T)."""
     X_m = _query_matrix(model, X_m)
-    system, sigma2, _ = _noise_fit(model, dataset)
-    return _std(system, sigma2, kernel_matrix(X_m, model.X_t, model.epsilon_t))
+    L, sigma2, _ = _noise_fit(model, dataset)
+    return _std(L, sigma2, kernel_matrix(X_m, model.X_t, model.epsilon_t))
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
 
 
 def confidence_intervals(
     mean: np.ndarray, std: np.ndarray, df_res: float, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided intervals mean -+ t(1 - alpha/2; df_res) * std."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     half = t_quantile(1.0 - alpha / 2.0, df_res) * std
@@ -114,11 +146,12 @@ def predict_intervals(
     model: SparseModel, dataset: Dataset, X_m: np.ndarray, alpha: float = 0.05
 ) -> PredictionSet:
     """Mean prediction with t-confidence bounds at level 1 - alpha."""
+    _check_alpha(alpha)
     X_m = _query_matrix(model, X_m)
-    system, sigma2, df_res = _noise_fit(model, dataset)
+    L, sigma2, df_res = _noise_fit(model, dataset)
     B_m = kernel_matrix(X_m, model.X_t, model.epsilon_t)
     mean = B_m @ model.C_t
-    std = _std(system, sigma2, B_m)
+    std = _std(L, sigma2, B_m)
     lower, upper = confidence_intervals(mean, std, df_res, alpha)
     return PredictionSet(
         X_m=X_m,

@@ -210,6 +210,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "training data" in err
 
+    @pytest.mark.parametrize("alpha", ["1.5", "nan", "0"])
+    def test_out_of_range_ci_is_usage_error(self, tmp_path, capsys, alpha):
+        model_path, _, train = _fit_files(tmp_path, n=60)
+        out = tmp_path / "ci.csv"
+        with pytest.raises(SystemExit) as exc:
+            _run("predict", "--model", str(model_path), "--grid=-1:1:5", f"--ci={alpha}",
+                 "--data", str(train), "--has-header", "--out", str(out))
+        assert exc.value.code == 1
+        assert "--ci" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_is_computation_error(self, tmp_path, capsys):
         model_path, _, _ = _fit_files(tmp_path)
         q = tmp_path / "q.csv"
@@ -247,6 +258,17 @@ class TestReport:
 
         band = (out_dir / "prediction_band.csv").read_text().splitlines()
         assert band[0].startswith("#")
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+    def test_out_of_range_alpha_is_usage_error(self, tmp_path, capsys, alpha):
+        model_path, _, train = _fit_files(tmp_path, n=60)
+        out_dir = tmp_path / "rep"
+        with pytest.raises(SystemExit) as exc:
+            _run("report", "--model", str(model_path), "--out-dir", str(out_dir),
+                 "--data", str(train), "--has-header", f"--alpha={alpha}")
+        assert exc.value.code == 1
+        assert "--alpha" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_band_skipped_without_data(self, tmp_path, capsys):
         model_path, _, _ = _fit_files(tmp_path)

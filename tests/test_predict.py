@@ -1,6 +1,13 @@
+import copy
+import dataclasses
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hiersparse import network, predict
 from hiersparse import (
     Dataset,
     DegenerateDofError,
@@ -199,6 +206,15 @@ class TestConfidenceIntervals:
         with pytest.raises(ValueError):
             confidence_intervals(np.zeros(1), np.ones(1), 5.0, 1.5)
 
+    @pytest.mark.parametrize("alpha", [1.5, float("nan"), 0.0, 1.0])
+    def test_alpha_checked_before_the_noise_fit(self, monkeypatch, alpha):
+        ds, model = _served(1)
+        predict._NOISE_FIT_MEMO.clear()
+        calls = _count_factorizations(monkeypatch)
+        with pytest.raises(ValueError, match="alpha"):
+            predict_intervals(model, ds, np.zeros((3, 1)), alpha)
+        assert calls == [] and predict._NOISE_FIT_MEMO == {}
+
     def test_prediction_set_orders_bounds(self):
         rng = np.random.default_rng(10)
         X = rng.uniform(0, 1, size=(50, 1))
@@ -231,3 +247,117 @@ class TestCoverageSmoke:
             hits += int(np.sum((ps.lower <= truth) & (truth <= ps.upper)))
             total += len(truth)
         assert hits / total >= 0.80
+
+
+@lru_cache(maxsize=None)
+def _served(d):
+    """A fitted (dataset, model) pair in d dimensions; callers copy before editing."""
+    rng = np.random.default_rng(20 + d)
+    n = 60 if d == 1 else 80
+    X = rng.uniform(-1.0, 1.0, size=(n, d))
+    Y = np.sin(3.0 * X[:, 0]) + X[:, -1] ** 2 + 0.2 * rng.standard_normal(n)
+    ds = Dataset(X=X, Y=Y)
+    return ds, fit(ds, seed=d)
+
+
+def _queries(d, m, seed=0):
+    return np.random.default_rng(seed).uniform(-1.2, 1.2, size=(m, d))
+
+
+def _fresh(model, ds, X_m):
+    """predict_intervals computed without the memo's previous entry."""
+    predict._NOISE_FIT_MEMO.clear()
+    return predict_intervals(model, ds, X_m)
+
+
+def _assert_same(got, expect):
+    for f in dataclasses.fields(expect):
+        a, b = getattr(got, f.name), getattr(expect, f.name)
+        assert np.array_equal(a, b), f.name
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    real = network._factor
+
+    def counting(S, jitter):
+        calls.append(S.shape)
+        return real(S, jitter)
+
+    monkeypatch.setattr(network, "_factor", counting)
+    return calls
+
+
+class TestNoiseFitMemo:
+    """The noise fit is computed once per content of (model, dataset)."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_repeat_and_equal_copies_match_a_cleared_memo(self, monkeypatch, d):
+        ds, model = _served(d)
+        X_m = _queries(d, 37)
+        first = _fresh(model, ds, X_m)
+        calls = _count_factorizations(monkeypatch)
+        again = predict_intervals(model, ds, X_m)
+        copies = predict_intervals(
+            copy.deepcopy(model), Dataset(X=ds.X.copy(), Y=ds.Y.copy()), X_m.copy()
+        )
+        assert calls == []
+        expect = _fresh(model, ds, X_m)
+        for got in (first, again, copies):
+            _assert_same(got, expect)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_in_place_edits_are_recomputed(self, d):
+        ds0, model0 = _served(d)
+        ds = Dataset(X=ds0.X.copy(), Y=ds0.Y.copy())
+        model = copy.deepcopy(model0)
+        X_m = _queries(d, 25)
+        before = predict_intervals(model, ds, X_m)
+        ds.Y[::3] += 0.5
+        after_y = predict_intervals(model, ds, X_m)
+        _assert_same(after_y, _fresh(model, ds, X_m))
+        assert after_y.sigma2_hat != before.sigma2_hat
+        model.C_t *= 1.01
+        after_c = predict_intervals(model, ds, X_m)
+        _assert_same(after_c, _fresh(model, ds, X_m))
+        assert not np.array_equal(after_c.mean, after_y.mean)
+        assert after_c.sigma2_hat != after_y.sigma2_hat
+
+    def test_degenerate_dof_raises_on_every_call(self):
+        model = _manual_model([[0.7]], [2.0], eps=1.0, lam=(1.0,), q=(1,), n_train=1)
+        ds = Dataset(X=np.array([[0.7]]), Y=np.array([2.0]))
+        for call in [sigma2_hat, residual_dof] * 2:
+            with pytest.raises(DegenerateDofError):
+                call(model, ds)
+        for _ in range(2):
+            with pytest.raises(DegenerateDofError):
+                predict_intervals(model, ds, [[0.5]])
+
+    def test_one_pair_factors_once(self, monkeypatch):
+        ds, model = _served(2)
+        predict._NOISE_FIT_MEMO.clear()
+        calls = _count_factorizations(monkeypatch)
+        for m in (1, 10, 100):
+            predict_intervals(model, ds, _queries(2, m))
+        predict_std(model, ds, _queries(2, 5))
+        sigma2_hat(model, ds)
+        residual_dof(model, ds)
+        assert len(calls) == 1
+
+    def test_the_memo_holds_one_entry(self, monkeypatch):
+        pairs = [_served(1), _served(2), _served(1)]
+        predict._NOISE_FIT_MEMO.clear()
+        calls = _count_factorizations(monkeypatch)
+        for ds, model in pairs:
+            sigma2_hat(model, ds)
+        assert len(calls) == 3
+        assert len(predict._NOISE_FIT_MEMO) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]))
+    def test_memoized_intervals_equal_the_uncached_computation(self, m, seed, d):
+        ds, model = _served(d)
+        X_m = _queries(d, m, seed)
+        predict_intervals(model, ds, X_m[:1])  # fills the memo if it is not already
+        got = predict_intervals(model, ds, X_m)
+        _assert_same(got, _fresh(model, ds, X_m))
