@@ -163,6 +163,16 @@ def _report_rows(model: SparseModel):
     return rows
 
 
+def _write_band(path, pred) -> None:
+    """Coordinates, mean, std and t-bounds, under '#' lines of df_res, sigma2_hat, alpha."""
+    write_csv(
+        path,
+        [f"x_{j + 1}" for j in range(pred.X_m.shape[1])] + ["mean", "std", "lower", "upper"],
+        np.column_stack([pred.X_m, pred.mean, pred.std, pred.lower, pred.upper]),
+        meta={"df_res": pred.df_res, "sigma2_hat": pred.sigma2_hat, "alpha": pred.alpha},
+    )
+
+
 def cmd_fit(args) -> int:
     dataset, provenance = _load_training(args)
     T = _parse_T(args.T)
@@ -223,16 +233,7 @@ def cmd_predict(args) -> int:
                 "does not carry"
             )
         dataset = ingest_csv(args.data, has_header=args.has_header)
-        pred = predict_intervals(model, dataset, X_m, alpha=args.ci)
-        header = [f"x_{j + 1}" for j in range(X_m.shape[1])] + [
-            "mean",
-            "std",
-            "lower",
-            "upper",
-        ]
-        rows = np.column_stack([X_m, pred.mean, pred.std, pred.lower, pred.upper])
-        meta = {"df_res": pred.df_res, "sigma2_hat": pred.sigma2_hat, "alpha": pred.alpha}
-        write_csv(args.out, header, rows, meta=meta)
+        _write_band(args.out, predict_intervals(model, dataset, X_m, alpha=args.ci))
     else:
         mean = predict_mean(model, X_m)
         header = [f"x_{j + 1}" for j in range(X_m.shape[1])] + ["mean"]
@@ -245,6 +246,10 @@ def cmd_report(args) -> int:
     model, _, _ = load_model(args.model)
     if not model.history:
         raise FitError("model file has no scale history to report")
+    if args.data:  # the band comes first, so bad input leaves no file behind
+        dataset = ingest_csv(args.data, has_header=args.has_header)
+        X_m = _parse_grid(args.grid) if args.grid else _default_grid(model)
+        pred = predict_intervals(model, dataset, X_m, alpha=args.alpha)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -260,19 +265,7 @@ def cmd_report(args) -> int:
         write_csv(out_dir / f"selected_points_s{rec.s}.csv", coord_header, rec.points)
 
     if args.data:
-        dataset = ingest_csv(args.data, has_header=args.has_header)
-        X_m = _parse_grid(args.grid) if args.grid else _default_grid(model)
-        pred = predict_intervals(model, dataset, X_m, alpha=args.alpha)
-        write_csv(
-            out_dir / "prediction_band.csv",
-            coord_header + ["mean", "std", "lower", "upper"],
-            np.column_stack([X_m, pred.mean, pred.std, pred.lower, pred.upper]),
-            meta={
-                "df_res": pred.df_res,
-                "sigma2_hat": pred.sigma2_hat,
-                "alpha": pred.alpha,
-            },
-        )
+        _write_band(out_dir / "prediction_band.csv", pred)
     else:
         print("note: prediction band skipped (needs --data for interval widths)")
     print(f"report files written to {out_dir}")

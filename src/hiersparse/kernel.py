@@ -58,8 +58,7 @@ def diameter_T(X: np.ndarray) -> float:
         X = X[:, None]
     if X.shape[0] < 2:
         raise ValueError("need at least two points to measure a diameter")
-    d2 = _sq_distances(X, X)
-    diam2 = float(d2.max())
+    diam2 = float(_sq_distances(X, X).max())
     if diam2 == 0.0:
         raise DegenerateGeometryError("all points are identical; diameter is zero")
     return diam2 / 2.0
@@ -81,16 +80,25 @@ def length_scale(T: float, M: float, s: int) -> float:
 
 
 def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # stable expansion, clamped: round-off can push ||a||^2+||b||^2-2ab below 0
-    ra = np.sum(A * A, axis=1)
-    rb = np.sum(B * B, axis=1)
-    d2 = ra[:, None] + rb[None, :] - 2.0 * (A @ B.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    # in place, in a len(B) x len(A) buffer returned transposed: long contiguous passes
+    At, Bt = A.T.copy(), B.T.copy()
+    out = At[0] - Bt[0][:, None]
+    np.square(out, out=out)
+    term = np.empty_like(out) if A.shape[1] > 1 else None
+    for k in range(1, A.shape[1]):
+        np.subtract(At[k], Bt[k][:, None], out=term)
+        out += np.square(term, out=term)
+    return out.T
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, epsilon: float) -> np.ndarray:
-    """Cross kernel ``exp(-||a_i - b_j||^2 / epsilon)`` for rows of A and B."""
+    """Cross kernel ``exp(-||a_i - b_j||^2 / epsilon)`` for rows of A and B.
+
+    Squared distances are summed from direct coordinate differences, so an exact
+    common shift of A and B changes no entry, and as fl(a - b) = -fl(b - a) the
+    kernel of X with itself is exactly symmetric with unit diagonal.  The result
+    is in Fortran order, one pass per coordinate: d >= 3 costs d passes per entry.
+    """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -99,16 +107,14 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, epsilon: float) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("nonfinite coordinates")
-    return np.exp(-_sq_distances(A, B) / epsilon)
+    K = _sq_distances(A, B)
+    np.divide(K, -epsilon, out=K)
+    return np.exp(K, out=K)
 
 
 def gram(X: np.ndarray, epsilon_s: float) -> np.ndarray:
-    """Scale-s Gram matrix on X; exactly symmetric with unit diagonal."""
-    G = kernel_matrix(X, X, epsilon_s)
-    lower = np.tril(G, -1)
-    G = lower + lower.T
-    np.fill_diagonal(G, 1.0)
-    return G
+    """Scale-s Gram matrix on X, in C order; exactly symmetric with unit diagonal."""
+    return kernel_matrix(X, X, epsilon_s).T  # by that symmetry, the same matrix
 
 
 def numerical_rank(G: np.ndarray, phi: float) -> int:

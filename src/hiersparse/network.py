@@ -374,6 +374,7 @@ def optimize_lambda(
     refine_passes: int = 3,
     refine_tol: float = 1e-3,
     _psis=None,
+    _C=None,
 ) -> tuple[np.ndarray, float]:
     """Best positive weights for fixed penalty orders ``q``.
 
@@ -401,7 +402,7 @@ def optimize_lambda(
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = centers.shape[1]
     psis = _psis if _psis is not None else penalty_components(q, centers)
-    C = B.T @ B
+    C = B.T @ B if _C is None else _C
 
     if d > 1:
         line = _PencilLine(C, B, Y, sum(psis), n, 10.0 ** LOG_LAMBDA_BOUNDS[0])
@@ -461,6 +462,7 @@ def optimize_gcv(
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = centers.shape[1]
 
+    C = B.T @ B
     psi_by_dim_q = {
         (i, q): psi
         for q in (1, 2)
@@ -472,7 +474,7 @@ def optimize_gcv(
         psis = [psi_by_dim_q[(i, qi)] for i, qi in enumerate(q_combo)]
         lam, cost = optimize_lambda(
             B, Y, centers, n, q_combo,
-            refine_passes=refine_passes, refine_tol=refine_tol, _psis=psis,
+            refine_passes=refine_passes, refine_tol=refine_tol, _psis=psis, _C=C,
         )
         if best is None or cost < best[2]:
             best = (q_combo, lam, cost, psis)
@@ -482,7 +484,7 @@ def optimize_gcv(
         raise ScaleUnfitError("every penalty candidate was degenerate at this scale")
 
     # the weights solve the winner's system exactly as ``solve_weights`` does
-    theta = _PenalizedSystem(B, weighted_penalty(lam, psis), n).solve(B.T @ Y)
+    theta = _PenalizedSystem(B, weighted_penalty(lam, psis), n, C).solve(B.T @ Y)
     return FittedScale(theta=theta, lam=lam, q=q_combo, cost=cost)
 
 
@@ -501,9 +503,8 @@ def representer(
     R_x|_sel, where R_x holds kernel values between x and all training points
     (restricted to the selected centers in basis order for the solves).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     B = np.asarray(B, dtype=float)
-    R_x = kernel_matrix(np.atleast_2d(np.asarray(x, dtype=float)), X, epsilon_s).ravel()
+    R_x = kernel_matrix(x, X, epsilon_s).ravel()
     r_sel = R_x[np.asarray(selected, dtype=int)]
     C = B.T @ B
     penalized = _PenalizedSystem(B, np.asarray(P, dtype=float), n, C)

@@ -277,3 +277,21 @@ class TestReport:
         assert code == 0
         assert not (out_dir / "prediction_band.csv").exists()
         assert "skipped" in capsys.readouterr().out
+
+    def test_missing_data_file_writes_nothing(self, tmp_path):
+        model_path, _, _ = _fit_files(tmp_path, n=60)
+        out_dir = tmp_path / "rep"
+        code = _run("report", "--model", str(model_path), "--out-dir", str(out_dir),
+                    "--data", str(tmp_path / "nonexist.csv"), "--has-header")
+        assert code == 1
+        assert not out_dir.exists()
+
+    def test_dimension_mismatch_writes_nothing(self, tmp_path):
+        model_path, _, _ = _fit_files(tmp_path, n=60)
+        train2d = tmp_path / "train2d.csv"
+        train2d.write_text("x_1,x_2,y\n" + "".join(f"{i},{-i},{i * i}\n" for i in range(8)))
+        out_dir = tmp_path / "rep"
+        code = _run("report", "--model", str(model_path), "--out-dir", str(out_dir),
+                    "--data", str(train2d), "--has-header")
+        assert code == 2
+        assert not out_dir.exists()

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hiersparse.hierarchy as hierarchy_mod
 from hiersparse import (
@@ -10,7 +12,9 @@ from hiersparse import (
     ScaleUnfitError,
     SynthSpec,
     compression_ratio,
+    eval_true,
     fit,
+    predict_mean,
     sample,
 )
 from hiersparse.dataio import model_to_dict
@@ -130,6 +134,42 @@ class TestFitLoop:
         last = model.history[-1].s
         assert 0 < model.t < last
         assert model.history[model.t].cost == min(r.cost for r in model.history)
+
+
+class TestTranslation:
+    @given(seed=st.integers(0, 2**16), d=st.integers(1, 2),
+           shift=st.lists(st.integers(-(2**32), 2**32), min_size=2, max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_shift_gives_the_same_fit(self, seed, d, shift):
+        # on the 2**-6 grid of [0, 1]^d a shift by a multiple of 2**-6 up to
+        # 2**26 is exact, and so is every coordinate difference
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 65, size=(30, d)) / 64.0
+        ds = Dataset(X=X, Y=np.sin(6.0 * X.sum(axis=1)) + 0.1 * rng.standard_normal(30))
+        c = np.asarray(shift[:d]) / 64.0
+        a = fit(ds, seed=seed)
+        b = fit(Dataset(X=X + c, Y=ds.Y), seed=seed)
+        assert (b.t, b.Q_t) == (a.t, a.Q_t)
+        assert [r.l_s for r in b.history] == [r.l_s for r in a.history]
+        for name in ("Lambda_t", "C_t"):
+            assert np.array_equal(getattr(b, name), getattr(a, name))
+        assert np.array_equal(b.X_t, a.X_t + c)
+        X_m = rng.integers(0, 65, size=(50, d)) / 64.0
+        assert np.array_equal(predict_mean(b, X_m + c), predict_mean(a, X_m))
+
+    def test_criterion_three_data_shifted_far_from_the_origin(self):
+        # X + 1e6 rounds each coordinate to a multiple of 2**-33: the data
+        # move by up to 6e-11, and C_t moved 2.8e-11 (max-norm, relative)
+        dense = np.linspace(-500.0, 500.0, 2001)[:, None]
+        f_dense = eval_true("schwefel1d", dense)
+        sigma = 0.05 * float(f_dense.max() - f_dense.min())
+        ds = sample(SynthSpec("schwefel1d", n=600, noise_sigma=sigma, seed=31))
+        a = fit(ds, seed=31)
+        b = fit(Dataset(X=ds.X + 1e6, Y=ds.Y), seed=31)
+        assert (b.t, b.Q_t) == (a.t, a.Q_t)
+        assert [r.l_s for r in b.history] == [r.l_s for r in a.history]
+        assert np.array_equal(b.X_t, a.X_t + 1e6)
+        assert np.max(np.abs(b.C_t - a.C_t)) <= 1e-9 * np.max(np.abs(a.C_t))
 
 
 class TestFailedScales:

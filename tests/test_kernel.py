@@ -15,6 +15,28 @@ from hiersparse import (
 from helpers import brute_force_max_distance
 
 
+def _kernel_loop(A, B, eps):
+    """exp(-(sum_k (a_k - b_k)^2) / eps) entry by entry, k in coordinate order."""
+    out = np.empty((A.shape[0], B.shape[0]))
+    for i in range(A.shape[0]):
+        for j in range(B.shape[0]):
+            sq = 0.0
+            for k in range(A.shape[1]):
+                diff = A[i, k] - B[j, k]
+                sq += diff * diff
+            out[i, j] = np.exp(-sq / eps)
+    return out
+
+
+def _dyadic(rng, rows, d):
+    """Points on the 2**-6 grid of [-1, 1]^d: any shift by a multiple of 2**-6
+    up to 2**26 in size is exact, and so is every coordinate difference."""
+    return rng.integers(-64, 65, size=(rows, d)) / 64.0
+
+
+_SHIFTS = st.lists(st.integers(-(2**32), 2**32), min_size=3, max_size=3)
+
+
 class TestDataset:
     def test_flat_x_becomes_column(self):
         ds = Dataset(X=np.array([0.0, 1.0, 2.0]), Y=np.array([1.0, 2.0, 3.0]))
@@ -45,6 +67,13 @@ class TestDiameter:
         X = rng.uniform(0.0, 1.0, size=(50, 2))
         diam = brute_force_max_distance(X)
         assert diameter_T(X) == pytest.approx(diam**2 / 2.0, rel=1e-12)
+
+    @given(seed=st.integers(0, 2**16), d=st.integers(1, 3), shift=_SHIFTS)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_translation_leaves_it_unchanged(self, seed, d, shift):
+        X = _dyadic(np.random.default_rng(seed), 12, d)
+        c = np.asarray(shift[:d]) / 64.0
+        assert diameter_T(X + c) == diameter_T(X)
 
     def test_identical_points_degenerate(self):
         with pytest.raises(DegenerateGeometryError):
@@ -113,6 +142,25 @@ class TestGram:
             gram(np.array([[0.0], [np.inf]]), 1.0)
         with pytest.raises(ValueError):
             kernel_matrix(np.array([[np.nan]]), np.array([[0.0]]), 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kernel_matrix_matches_entrywise_loop(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.uniform(-3.0, 5.0, size=(17, d))
+        B = 1e3 + rng.standard_normal((9, d))
+        for P, Q in ((A, A), (A, B - 1e3), (B, A + 1e3)):
+            for eps in (0.37, 2.0, 1e4):
+                assert np.array_equal(kernel_matrix(P, Q, eps), _kernel_loop(P, Q, eps))
+
+    @given(seed=st.integers(0, 2**16), d=st.integers(1, 3), shift=_SHIFTS,
+           eps=st.floats(1e-3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matrix_exact_under_exact_translation(self, seed, d, shift, eps):
+        rng = np.random.default_rng(seed)
+        A, B = _dyadic(rng, 11, d), _dyadic(rng, 7, d)
+        c = np.asarray(shift[:d]) / 64.0
+        assert np.array_equal(kernel_matrix(A + c, B + c, eps), kernel_matrix(A, B, eps))
+        assert np.array_equal(gram(A + c, eps), gram(A, eps))
 
     def test_kernel_matrix_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -350,10 +350,24 @@ class TestTheoryIdentities:
         B, Y, n = prob["B"], prob["Y"], prob["n"]
         P = _penalty_for(prob, lam=np.array([0.7]))
         theta_l = solve_weights(B, Y, P, n)
-        theta_0 = solve_weights(B, Y, np.zeros_like(P), n)
+        # the projection's oracle is a QR least-squares solve: the unpenalized
+        # normal equations lose kappa(B)^2 digits (kappa ~ 9e4 here), more
+        # than the identity's 1e-8 tolerance
+        theta_0 = np.linalg.lstsq(B, Y, rcond=None)[0]
         lhs = np.sum((Y - B @ theta_l) ** 2)
         rhs = np.sum((Y - B @ theta_0) ** 2) + np.sum((B @ theta_0 - B @ theta_l) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+    @pytest.mark.parametrize("seed", [19, 20, 21, 22, 23])
+    def test_unpenalized_weights_within_normal_equation_error(self, seed):
+        # forward error of the normal equations is O(kappa(B)^2 eps); the
+        # measured ratio to kappa^2 eps is at most 0.22 on these seeds
+        prob = make_basis_problem(30, 1, seed=seed, phi=1e-6)
+        B, Y, n = prob["B"], prob["Y"], prob["n"]
+        theta = solve_weights(B, Y, np.zeros((prob["l"], prob["l"])), n)
+        theta_ls = np.linalg.lstsq(B, Y, rcond=None)[0]
+        bound = np.linalg.cond(B) ** 2 * np.finfo(float).eps
+        assert np.linalg.norm(theta - theta_ls) <= bound * np.linalg.norm(theta_ls)
 
     def test_penalized_fit_converges_to_projection(self):
         # o(lambda) decay of the squared fitted-value gap needs a basis whose
