@@ -1,0 +1,75 @@
+"""Count d = 2 penalty-weight searches that end above a grid minimum of GCV.
+
+For every 2-D basis problem (n in {60, 120, 200}, seeds 1-6, scales
+s in {1, 2, 3, 4}: the test suite's ``make_basis_problem``) and every order
+combination Q in {1, 2}^2, this runs ``optimize_lambda`` and compares its cost
+with the minimum of ``gcv`` over a log10 grid on the box ``LOG_LAMBDA_BOUNDS``
+(33 x 33 by default).  A search counts as above when its cost exceeds that
+minimum by more than ``--rel`` relative.  Prints each such search, then the
+count out of all searches (288 with the defaults).
+
+    PYTHONPATH=src python3 scripts/basin_sweep.py
+"""
+import argparse
+import itertools
+
+import numpy as np
+
+from hiersparse import (
+    PenaltySpec,
+    diameter_T,
+    gcv,
+    gram,
+    numerical_rank,
+    optimize_lambda,
+    penalty_operator,
+    pivoted_qr_permutation,
+    select_basis,
+    sketch,
+)
+from hiersparse.network import LOG_LAMBDA_BOUNDS
+
+
+def basis_problem(n: int, seed: int, s: int, noise: float = 0.1, phi: float = 1e-10):
+    """(B, Y, centers): the scale-s basis of a random 2-D dataset, as the tests build it."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, 2))
+    Y = np.sin(2.0 * X[:, 0]) + (X**2).sum(axis=1) + noise * rng.standard_normal(n)
+    G = gram(X, diameter_T(X) / 2.0**s)
+    l = numerical_rank(G, phi)
+    basis = select_basis(G, pivoted_qr_permutation(sketch(G, l, 8, seed)), l)
+    return basis.B, Y, X[basis.selected]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--n", type=int, nargs="+", default=[60, 120, 200])
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 7)))
+    ap.add_argument("--scales", type=int, nargs="+", default=[1, 2, 3, 4])
+    ap.add_argument("--grid-side", type=int, default=33)
+    ap.add_argument("--rel", type=float, default=1e-9,
+                    help="relative margin above the grid minimum that counts")
+    args = ap.parse_args()
+
+    grid = np.linspace(*LOG_LAMBDA_BOUNDS, args.grid_side)
+    above = total = 0
+    for n, seed, s in itertools.product(args.n, args.seeds, args.scales):
+        B, Y, centers = basis_problem(n, seed, s)
+        for q in itertools.product((1, 2), repeat=2):
+            _, cost = optimize_lambda(B, Y, centers, n, q)
+            grid_min = min(
+                gcv(B, Y, penalty_operator(PenaltySpec(q, 10.0 ** np.array(r)), centers).P, n)
+                for r in itertools.product(grid, repeat=2)
+            )
+            total += 1
+            if cost > grid_min * (1.0 + args.rel):
+                above += 1
+                print(f"n={n} seed={seed} s={s} l={B.shape[1]} q={q}: "
+                      f"search {cost:.9g}, grid {grid_min:.9g} "
+                      f"(+{cost / grid_min - 1.0:.2e})")
+    print(f"above the grid minimum: {above} of {total}")
+
+
+if __name__ == "__main__":
+    main()

@@ -46,18 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_T(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"--T must be 'auto' or a positive number, got {text!r}")
-    if not value > 0:
-        raise UsageError("--T must be positive")
-    return value
-
-
 def _checked(cast, ok, rule: str):
     """argparse ``type`` that also rejects a value outside ``rule`` (exit 1)."""
 
@@ -80,9 +68,12 @@ def _parse_bounds(text: str):
         if len(bits) != 2:
             raise UsageError(f"--range entries look like lo:hi, got {part!r}")
         try:
-            pairs.append((float(bits[0]), float(bits[1])))
+            lo, hi = float(bits[0]), float(bits[1])
         except ValueError:
             raise UsageError(f"--range bounds must be numbers, got {part!r}") from None
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise UsageError(f"--range needs finite bounds with lo < hi, got {part!r}")
+        pairs.append((lo, hi))
     return tuple(pairs)
 
 
@@ -96,7 +87,7 @@ def _parse_grid(text: str) -> np.ndarray:
             lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
         except ValueError:
             raise UsageError(f"bad grid axis {part!r}") from None
-        if count < 1 or not lo < hi:
+        if count < 1 or not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"bad grid axis {part!r}")
         axes.append(np.linspace(lo, hi, count))
     if len(axes) == 1:
@@ -121,6 +112,8 @@ def _synth_spec_from_args(args) -> SynthSpec:
     if args.n is None or args.noise is None:
         raise UsageError("--synth requires --n and --noise")
     bounds = _parse_bounds(args.range) if args.range else None
+    if bounds is not None and len(bounds) != FAMILY_DIMS[args.synth]:
+        raise UsageError(f"--range needs one lo:hi pair per dimension of {args.synth}")
     return SynthSpec(
         family=args.synth, n=args.n, noise_sigma=args.noise, bounds=bounds, seed=args.seed
     )
@@ -175,10 +168,9 @@ def _write_band(path, pred) -> None:
 
 def cmd_fit(args) -> int:
     dataset, provenance = _load_training(args)
-    T = _parse_T(args.T)
     model = fit(
         dataset,
-        T=T,
+        T=args.T,
         M=args.M,
         phi=args.phi,
         k_extra=args.k_extra,
@@ -186,7 +178,7 @@ def cmd_fit(args) -> int:
         max_scales=args.max_scales,
     )
     parameters = {
-        "T": "auto" if T == "auto" else T,
+        "T": args.T,
         "M": args.M,
         "phi": args.phi,
         "k_extra": args.k_extra,
@@ -278,10 +270,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     in_unit = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+    scale = _checked(float, lambda v: 0 < v < np.inf, "'auto' or a finite number > 0")
     def add_common_fit(p):
-        p.add_argument("--T", default="auto", help="base squared-distance scale or 'auto'")
-        p.add_argument("--M", type=_checked(float, lambda v: v > 1, "a number > 1"),
-                       default=2.0, help="scale divisor (> 1)")
+        p.add_argument("--T", type=lambda text: text if text == "auto" else scale(text),
+                       default="auto", help="base squared-distance scale or 'auto'")
+        p.add_argument("--M", default=2.0, help="scale divisor (> 1)",
+                       type=_checked(float, lambda v: 1 < v < np.inf, "a finite number > 1"))
         p.add_argument("--phi", type=in_unit,
                        default=1e-10, help="rank precision in (0,1)")
         p.add_argument("--k-extra", dest="k_extra", default=8,
@@ -295,8 +289,11 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--has-header", action="store_true")
     p_fit.add_argument("--synth", choices=sorted(FAMILY_DIMS),
                        help="generate a synthetic benchmark instead of reading a file")
-    p_fit.add_argument("--n", type=int, help="synthetic sample size")
-    p_fit.add_argument("--noise", type=float, help="synthetic noise standard deviation")
+    p_fit.add_argument("--n", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
+                       help="synthetic sample size")
+    p_fit.add_argument("--noise", type=_checked(float, lambda v: 0 <= v < np.inf,
+                                                "a finite number >= 0"),
+                       help="synthetic noise standard deviation")
     p_fit.add_argument("--range", help="synthetic bounds lo:hi[,lo:hi]")
     p_fit.add_argument("--seed", type=int, default=0)
     add_common_fit(p_fit)

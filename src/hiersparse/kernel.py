@@ -51,15 +51,27 @@ class Dataset:
 def diameter_T(X: np.ndarray) -> float:
     """Base squared-distance scale from the most distant pair: ``diam(X)**2 / 2``.
 
-    ``T`` is ``epsilon_0``; the scale-0 kernel support is ``sqrt(T)``.
+    ``T`` is ``epsilon_0``; the scale-0 kernel support is ``sqrt(T)``.  Raises
+    ``DegenerateGeometryError`` when every point coincides, or when the squared
+    diameter leaves float range (overflow, or underflow to 0 for distinct points).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.shape[0] < 2:
         raise ValueError("need at least two points to measure a diameter")
-    diam2 = float(_sq_distances(X, X).max())
+    with np.errstate(over="ignore"):
+        diam2 = float(_sq_distances(X, X).max())
+    if not np.isfinite(diam2):
+        raise DegenerateGeometryError(
+            "squared diameter overflows float range; rescale the coordinates"
+        )
     if diam2 == 0.0:
+        if np.any(X != X[0]):
+            raise DegenerateGeometryError(
+                "squared diameter underflows to zero for distinct points; "
+                "rescale the coordinates"
+            )
         raise DegenerateGeometryError("all points are identical; diameter is zero")
     return diam2 / 2.0
 
@@ -70,10 +82,10 @@ def length_scale(T: float, M: float, s: int) -> float:
     Each step shrinks the kernel support ``sqrt(epsilon_s)`` by ``1/sqrt(M)``
     and grows the Gram rank by about ``M**(d/2)``.
     """
-    if not T > 0:
-        raise ValueError("T must be positive")
-    if not M > 1:
-        raise ValueError("M must exceed 1")
+    if not 0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
+    if not 1 < M < np.inf:
+        raise ValueError("M must exceed 1 and be finite")
     if s < 0:
         raise ValueError("scale index must be nonnegative")
     return T / M**s

@@ -10,6 +10,10 @@ minimized jointly over the per-dimension difference orders Q in {1,2}^d and
 the positive weights Lambda inside the box ``LOG_LAMBDA_BOUNDS``: a log-grid
 plus golden-section search for d = 1, and for d >= 2 a projected Newton
 descent on log Lambda seeded from one log-grid line (``optimize_lambda``).
+
+GCV needs B only through B^T B = R^T R, with R the triangular factor of a
+thin QR of B (Wood 2004, JASA 99:673, section 3), so the influence traces and
+the Newton search's derivatives work with l x l matrices, not l x n ones.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dsygst, dtrtri
 
 from .errors import DegenerateGCVError, IllConditionedScaleError, ScaleUnfitError
@@ -39,6 +43,8 @@ LOG_LAMBDA_BOUNDS = (-11.0, 5.0)
 LOG_LAMBDA_SEEDS = np.linspace(LOG_LAMBDA_BOUNDS[0], LOG_LAMBDA_BOUNDS[1], 33)
 NEWTON_MAX_STEPS = 20
 _MAX_HALVINGS = 30
+# column blocks of the lower-trapezoidal solve L^{-1} R^T (2, 4 and 8 measured)
+_TRACE_BLOCKS = 4
 
 
 @dataclass
@@ -86,17 +92,35 @@ def _default_jitter(C: np.ndarray) -> float:
     return 1e-12 * float(np.trace(C)) / C.shape[0]
 
 
+def _lower_solve(L: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """L^{-1} T for lower triangular L and lower trapezoidal T (l x k, k <= l).
+
+    Column j of T is zero above row j, and so is column j of the result, so
+    each of ``_TRACE_BLOCKS`` column blocks is solved from its diagonal down.
+    """
+    l, k = T.shape
+    out = np.zeros((l, k), order="F")
+    edges = np.linspace(0, k, _TRACE_BLOCKS + 1).astype(int)
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            out[a:, a:b] = dtrsm(1.0, L[a:, a:], T[a:, a:b], lower=1)
+    return out
+
+
 class _PenalizedSystem:
     """The penalized normal equations S = C + n P of basis B, factored once.
 
     C = B^T B unless the caller passes it.  S = L L^T by ``_factor`` (one
-    jittered retry).  With V = L^{-1} B^T the influence traces are
-    tr U = ||V||^2 and tr U U^T = ||V V^T||^2; V and the traces are formed
-    only when first read.
+    jittered retry).  With R the min(n, l) x l factor of a thin QR of B
+    (R^T R = B^T B; formed on the first trace read unless the caller passes
+    it) and V = L^{-1} R^T, an l x min(n, l) matrix, U = B S^{-1} B^T has
+    the nonzero spectrum of V^T V, so tr U = ||V||^2 and
+    tr U U^T = ||V V^T||^2; V and the traces are formed only when first read.
     """
 
-    def __init__(self, B: np.ndarray, P: np.ndarray, n: int, C: np.ndarray | None = None):
-        self.B = B
+    def __init__(self, B: np.ndarray, P: np.ndarray, n: int, C: np.ndarray | None = None,
+                 R: np.ndarray | None = None):
+        self.B, self.R = B, R
         C = B.T @ B if C is None else C
         self.factor = _factor(C + n * P, _default_jitter(C))
 
@@ -105,7 +129,8 @@ class _PenalizedSystem:
 
     @cached_property
     def V(self) -> np.ndarray:
-        return solve_triangular(self.factor[0], self.B.T, lower=True, check_finite=False)
+        R = np.linalg.qr(self.B, mode="r") if self.R is None else self.R
+        return _lower_solve(self.factor[0], R.T)
 
     @cached_property
     def trace_u(self) -> float:
@@ -224,22 +249,25 @@ class _GCVSurface:
     ``at(rho)`` sums P and forms S = C + n P as ``gcv`` does, so a point's
     ``cost`` is that score at Lambda = 10**rho (+inf when S cannot be
     factored or tr(I - U) vanishes).  ``derivatives(point)`` gives its
-    gradient and Hessian in rho.  With S = L L^T, V = L^{-1} B^T,
-    A = S^{-1} B^T = L^{-T} V, P_i = n lam_i Psi_i and Z_i = L^{-1} P_i A,
-    in eta = ln Lambda (Wood 2004, JASA 99:673):
+    gradient and Hessian in rho.  B enters the traces only through
+    B^T B = R^T R, with R the thin-QR factor of B (formed once here unless
+    the caller passes it).  With S = L L^T, V = L^{-1} R^T,
+    A = S^{-1} R^T = L^{-T} V, P_i = n lam_i Psi_i and Z_i = L^{-1} P_i A,
+    all l x l for n >= l, in eta = ln Lambda (Wood 2004, JASA 99:673):
 
         tau = tr U = ||V||^2,  d tau_i = -tr(A^T P_i A),
         d2 tau_ij = 2 <Z_i, Z_j> + delta_ij d tau_i,
         d theta_i = -S^{-1} P_i theta,
 
-    and the residual sum of squares follows from theta and d theta_i.  The
-    banded Psi_i act through ``component_action`` and L^{-1} is formed once
-    (xTRTRI), so a Hessian costs d + 1 triangular products with an l x n
-    matrix and no further factorization.
+    and the residual sum of squares follows from theta, d theta_i, B and the
+    residual, O(n l) each.  The banded Psi_i act through ``component_action``
+    and L^{-1} is formed once (xTRTRI), so a Hessian costs d + 1 triangular
+    products with an l x l matrix and no further factorization.
     """
 
-    def __init__(self, B, Y, C, centers, n, q, psis):
+    def __init__(self, B, Y, C, centers, n, q, psis, R=None):
         self.B, self.Y, self.C, self.n, self.psis = B, Y, C, n, psis
+        self.R = np.linalg.qr(B, mode="r") if R is None else R
         self.BtY = B.T @ Y
         self.actions = [component_action(qi, centers, i) for i, qi in enumerate(q)]
 
@@ -247,7 +275,9 @@ class _GCVSurface:
         n, lam = self.n, 10.0**rho
         point = SimpleNamespace(rho=rho, lam=lam, cost=np.inf)
         try:
-            point.system = _PenalizedSystem(self.B, weighted_penalty(lam, self.psis), n, self.C)
+            point.system = _PenalizedSystem(
+                self.B, weighted_penalty(lam, self.psis), n, self.C, self.R
+            )
         except IllConditionedScaleError:
             return point
         point.denom = n - point.system.trace_u
@@ -268,10 +298,10 @@ class _GCVSurface:
         scale = n * point.lam
         dtau, Z = np.empty(d), []
         for i, (s_i, act) in enumerate(zip(scale, self.actions)):
-            R = np.asfortranarray(act(A))
-            dtau[i] = -s_i * np.einsum("ij,ij->", A, R)
-            Z.append(dtrmm(s_i, Linv, R, lower=1, overwrite_b=1))
-        del A, R
+            PA = np.asfortranarray(act(A))
+            dtau[i] = -s_i * np.einsum("ij,ij->", A, PA)
+            Z.append(dtrmm(s_i, Linv, PA, lower=1, overwrite_b=1))
+        del A, PA
         d2tau = np.diag(dtau)
         Ptheta = [s_i * act(point.theta) for s_i, act in zip(scale, self.actions)]
         dtheta = [-system.solve(v) for v in Ptheta]
@@ -375,6 +405,7 @@ def optimize_lambda(
     refine_tol: float = 1e-3,
     _psis=None,
     _C=None,
+    _R=None,
 ) -> tuple[np.ndarray, float]:
     """Best positive weights for fixed penalty orders ``q``.
 
@@ -410,7 +441,7 @@ def optimize_lambda(
         k = int(np.argmin(costs))
         if not np.isfinite(costs[k]):
             return 10.0 ** np.zeros(d), np.inf
-        surface = _GCVSurface(B, Y, C, centers, n, q, psis)
+        surface = _GCVSurface(B, Y, C, centers, n, q, psis, _R)
         rho = np.full(d, LOG_LAMBDA_SEEDS[k])
         found = _floor_points(surface, rho)
         if refine_passes < 1:
@@ -456,13 +487,18 @@ def optimize_gcv(
     refine_passes: int = 3,
     refine_tol: float = 1e-3,
 ) -> FittedScale:
-    """Minimize GCV over every order combination Q in {1,2}^d and Lambda > 0."""
+    """Minimize GCV over every order combination Q in {1,2}^d and Lambda > 0.
+
+    B^T B, and for d >= 2 the thin-QR factor R of B, are formed once and
+    shared by every combination's search.
+    """
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     d = centers.shape[1]
 
     C = B.T @ B
+    R = np.linalg.qr(B, mode="r") if d > 1 else None
     psi_by_dim_q = {
         (i, q): psi
         for q in (1, 2)
@@ -474,7 +510,7 @@ def optimize_gcv(
         psis = [psi_by_dim_q[(i, qi)] for i, qi in enumerate(q_combo)]
         lam, cost = optimize_lambda(
             B, Y, centers, n, q_combo,
-            refine_passes=refine_passes, refine_tol=refine_tol, _psis=psis, _C=C,
+            refine_passes=refine_passes, refine_tol=refine_tol, _psis=psis, _C=C, _R=R,
         )
         if best is None or cost < best[2]:
             best = (q_combo, lam, cost, psis)

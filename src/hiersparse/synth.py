@@ -36,8 +36,8 @@ class SynthSpec:
             )
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be nonnegative and finite")
         bounds = self.bounds if self.bounds is not None else DEFAULT_RANGES[self.family]
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         if len(bounds) != FAMILY_DIMS[self.family]:

@@ -94,6 +94,34 @@ class TestFit:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--T", "inf"), ("--T", "nan"), ("--M", "inf"), ("--M", "nan"),
+        ("--range", "1:0"), ("--range", "0:inf"), ("--range", "0:1,0:1"),
+        ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"), ("--n", "1"),
+    ])
+    def test_invalid_synth_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.json"
+        argv = {"--n": "40", "--noise": "1", flag: value}
+        try:
+            code = _run("fit", "--synth", "schwefel1d",
+                        *[f"{k}={v}" for k, v in argv.items()], "--out", str(out))
+        except SystemExit as exc:  # refused by argparse
+            code = exc.code
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coordinates_whose_squared_spread_overflows_fail_as_computation(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "wide.csv"
+        data.write_text("".join(f"{x}e300,{x}\n" for x in range(12)))
+        out = tmp_path / "m.json"
+        assert _run("fit", "--data", str(data), "--out", str(out)) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPredict:
     def test_mean_only_needs_model_alone(self, tmp_path):
         model_path, _, train = _fit_files(tmp_path)
@@ -117,15 +145,16 @@ class TestPredict:
         got = np.array([float(ln.split(",")[1]) for ln in lines])
         assert np.array_equal(got, expect)
 
-    @pytest.mark.parametrize("grid", ["a:1:3", "-1:1:2.5"])
+    @pytest.mark.parametrize("grid", ["a:1:3", "-1:1:2.5", "0:inf:3", "nan:1:3"])
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys, grid):
         model_path, _, _ = _fit_files(tmp_path, n=60)
+        out = tmp_path / "p.csv"
         code = _run(
-            "predict", "--model", str(model_path), f"--grid={grid}",
-            "--out", str(tmp_path / "p.csv"),
+            "predict", "--model", str(model_path), f"--grid={grid}", "--out", str(out),
         )
         assert code == 1
         assert "bad grid axis" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_files_are_repr_text_of_the_library_results(self, tmp_path):
         model_path, _, train = _fit_files(tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import hiersparse.hierarchy as hierarchy_mod
 from hiersparse import (
     Dataset,
+    DegenerateGeometryError,
     FitError,
     ScaleUnfitError,
     SynthSpec,
@@ -124,9 +125,16 @@ class TestFitLoop:
 
     def test_parameter_validation(self):
         ds = _small_dataset(seed=12)
-        for bad in (dict(M=1.0), dict(phi=2.0), dict(k_extra=-1), dict(T=-5.0)):
+        for bad in (dict(M=1.0), dict(phi=2.0), dict(k_extra=-1), dict(T=-5.0),
+                    dict(T=np.inf), dict(M=np.inf)):
             with pytest.raises(ValueError):
                 fit(ds, **bad)
+
+    @pytest.mark.parametrize("spread, word", [(1e-300, "underflow"), (1e300, "overflow")])
+    def test_squared_spread_outside_float_range_is_named(self, spread, word):
+        X = np.random.default_rng(3).uniform(0.0, spread, size=(20, 1))
+        with pytest.raises(DegenerateGeometryError, match=word):
+            fit(Dataset(X=X, Y=np.arange(20.0)))
 
     def test_interior_convergence_on_noisy_benchmark(self):
         ds = sample(SynthSpec("schwefel1d", n=200, noise_sigma=40.0, seed=21))

@@ -79,6 +79,12 @@ class TestDiameter:
         with pytest.raises(DegenerateGeometryError):
             diameter_T(np.ones((5, 2)))
 
+    @pytest.mark.parametrize("spread, word", [(1e-300, "underflow"), (1e300, "overflow")])
+    def test_squared_spread_outside_float_range_is_named(self, spread, word):
+        X = np.linspace(0.0, spread, 6)[:, None]
+        with pytest.raises(DegenerateGeometryError, match=word):
+            diameter_T(X)
+
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             diameter_T(np.array([[1.0, 2.0]]))
@@ -106,6 +112,11 @@ class TestLengthScale:
             length_scale(0.0, 2.0, 1)
         with pytest.raises(ValueError):
             length_scale(1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("T, M", [(np.inf, 2.0), (np.nan, 2.0), (1.0, np.inf), (1.0, np.nan)])
+    def test_non_finite_settings_refused(self, T, M):
+        with pytest.raises(ValueError):
+            length_scale(T, M, 0)
 
 
 class TestGram:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from hiersparse import network
 from hiersparse import (
@@ -105,6 +106,53 @@ class TestInfluence:
         tr_u, tr_uut = influence_traces(prob["B"], P, prob["n"])
         assert tr_u == pytest.approx(np.trace(U), rel=1e-10)
         assert tr_uut == pytest.approx(np.trace(U @ U.T), rel=1e-10)
+
+
+def _trace_problem(l, shape, extra, duplicate, seed):
+    """Random l-column basis, tall, square or wide, and an SPD penalty."""
+    n = {"tall": l + extra, "square": l, "wide": max(1, l - extra)}[shape]
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, l))
+    if duplicate and l > 1:
+        B[:, -1] = B[:, 0]
+    A = rng.standard_normal((l, l))
+    return B, A @ A.T / l + rng.uniform(1e-3, 1.0) * np.eye(l), n
+
+
+_TRACE_CASES = dict(
+    l=st.integers(1, 3 * network._TRACE_BLOCKS + 1),
+    shape=st.sampled_from(["tall", "square", "wide"]),
+    extra=st.integers(1, 20),
+    duplicate=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestTracePath:
+    """The traces come from V = L^{-1} R^T, with R the thin-QR factor of B."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_TRACE_CASES)
+    def test_traces_equal_the_explicit_hat_matrix(self, l, shape, extra, duplicate, seed):
+        B, P, n = _trace_problem(l, shape, extra, duplicate, seed)
+        U = influence_matrix(B, P, n)
+        tr_u, tr_uut = influence_traces(B, P, n)
+        assert tr_u == pytest.approx(np.trace(U), rel=1e-10)
+        assert tr_uut == pytest.approx(np.sum(U * U), rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_TRACE_CASES)
+    def test_block_solve_equals_the_full_triangular_solve(self, l, shape, extra, duplicate,
+                                                          seed):
+        B, P, n = _trace_problem(l, shape, extra, duplicate, seed)
+        system = network._PenalizedSystem(B, P, n)
+        R = np.linalg.qr(B, mode="r")
+        ref = solve_triangular(system.factor[0], R.T, lower=True)
+        assert system.V.shape == (l, min(n, l))  # l columns, not n, for a tall B
+        assert np.max(np.abs(system.V - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # a factor the caller passes in gives the same bits as one formed lazily
+        passed = network._PenalizedSystem(B, P, n, R=R)
+        assert np.array_equal(passed.V, system.V)
 
 
 class TestGCV:

@@ -49,3 +49,16 @@ def test_script_writes_its_tables(tmp_path, script, n, coords, band_rows):
         _, header, rows = _table(tmp_path / "cost_curve.csv")
         assert header == ["s", "epsilon_s", "l_s", "comp_s", "cost"]
         assert [r.split(",")[0] for r in rows] == scales
+
+
+def test_basin_sweep_counts_its_searches():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "basin_sweep.py"), "--n", "40", "--seeds", "1",
+         "--scales", "1", "--grid-side", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("above the grid minimum: ") and last.endswith(" of 4")

@@ -69,6 +69,9 @@ class TestSample:
             SynthSpec("schwefel1d", n=1, noise_sigma=1.0)
         with pytest.raises(ValueError):
             SynthSpec("schwefel1d", n=10, noise_sigma=-1.0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SynthSpec("schwefel1d", n=10, noise_sigma=sigma)
         with pytest.raises(ValueError):
             SynthSpec("schwefel1d", n=10, noise_sigma=1.0, bounds=((1.0, 0.0),))
         with pytest.raises(ValueError):
