@@ -3,8 +3,11 @@
 For every 2-D basis problem (n in {60, 120, 200}, seeds 1-6, scales
 s in {1, 2, 3, 4}: the test suite's ``make_basis_problem``) and every order
 combination Q in {1, 2}^2, this runs ``optimize_lambda`` and compares its cost
-with the minimum of ``gcv`` over a log10 grid on the box ``LOG_LAMBDA_BOUNDS``
-(33 x 33 by default).  A search counts as above when its cost exceeds that
+with the minimum of the GCV score over a log10 grid on the box
+``LOG_LAMBDA_BOUNDS`` (33 x 33 by default).  The grid is scored through one
+``network._GCVSurface`` per problem and Q, whose ``at(rho).cost`` is the
+``gcv`` score at Lambda = 10**rho, so the basis is factored by QR once, not
+once per grid point.  A search counts as above when its cost exceeds that
 minimum by more than ``--rel`` relative.  Prints each such search, then the
 count out of all searches (288 with the defaults).
 
@@ -16,13 +19,12 @@ import itertools
 import numpy as np
 
 from hiersparse import (
-    PenaltySpec,
     diameter_T,
-    gcv,
     gram,
+    network,
     numerical_rank,
     optimize_lambda,
-    penalty_operator,
+    penalty_components,
     pivoted_qr_permutation,
     select_basis,
     sketch,
@@ -56,12 +58,13 @@ def main():
     above = total = 0
     for n, seed, s in itertools.product(args.n, args.seeds, args.scales):
         B, Y, centers = basis_problem(n, seed, s)
+        C, R = B.T @ B, np.linalg.qr(B, mode="r")
         for q in itertools.product((1, 2), repeat=2):
             _, cost = optimize_lambda(B, Y, centers, n, q)
-            grid_min = min(
-                gcv(B, Y, penalty_operator(PenaltySpec(q, 10.0 ** np.array(r)), centers).P, n)
-                for r in itertools.product(grid, repeat=2)
-            )
+            surface = network._GCVSurface(B, Y, C, R, centers, n, q,
+                                          penalty_components(q, centers))
+            grid_min = min(surface.at(np.array(r)).cost
+                           for r in itertools.product(grid, repeat=2))
             total += 1
             if cost > grid_min * (1.0 + args.rel):
                 above += 1

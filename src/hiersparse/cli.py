@@ -77,6 +77,11 @@ def _parse_bounds(text: str):
     return tuple(pairs)
 
 
+def _mesh(axes) -> np.ndarray:
+    """Points of the tensor grid on ``axes``, one row each, last axis fastest."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
 def _parse_grid(text: str) -> np.ndarray:
     axes = []
     for part in text.split(","):
@@ -90,22 +95,14 @@ def _parse_grid(text: str) -> np.ndarray:
         if count < 1 or not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise UsageError(f"bad grid axis {part!r}")
         axes.append(np.linspace(lo, hi, count))
-    if len(axes) == 1:
-        return axes[0][:, None]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return _mesh(axes)
 
 
 def _default_grid(model: SparseModel, per_dim: int = 200) -> np.ndarray:
-    lo = model.X_t.min(axis=0)
-    hi = model.X_t.max(axis=0)
+    lo, hi = model.X_t.min(axis=0), model.X_t.max(axis=0)
     d = model.X_t.shape[1]
-    if d == 1:
-        return np.linspace(lo[0], hi[0], per_dim)[:, None]
-    side = max(2, int(round(per_dim ** (1.0 / d))))
-    axes = [np.linspace(lo[i], hi[i], side) for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    side = per_dim if d == 1 else max(2, int(round(per_dim ** (1.0 / d))))
+    return _mesh([np.linspace(lo[i], hi[i], side) for i in range(d)])
 
 
 def _synth_spec_from_args(args) -> SynthSpec:
@@ -166,25 +163,14 @@ def _write_band(path, pred) -> None:
     )
 
 
+# the ``fit`` keywords the CLI sets, in the order the model file records them
+_FIT_SETTINGS = ("T", "M", "phi", "k_extra", "seed", "max_scales")
+
+
 def cmd_fit(args) -> int:
     dataset, provenance = _load_training(args)
-    model = fit(
-        dataset,
-        T=args.T,
-        M=args.M,
-        phi=args.phi,
-        k_extra=args.k_extra,
-        seed=args.seed,
-        max_scales=args.max_scales,
-    )
-    parameters = {
-        "T": args.T,
-        "M": args.M,
-        "phi": args.phi,
-        "k_extra": args.k_extra,
-        "seed": args.seed,
-        "max_scales": args.max_scales,
-    }
+    parameters = {name: getattr(args, name) for name in _FIT_SETTINGS}
+    model = fit(dataset, **parameters)
     save_model(args.out, model, parameters, provenance)
     if args.report:
         write_csv(
@@ -271,6 +257,7 @@ def build_parser() -> _Parser:
 
     in_unit = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
     scale = _checked(float, lambda v: 0 < v < np.inf, "'auto' or a finite number > 0")
+    nonnegative = _checked(int, lambda v: v >= 0, "an integer >= 0")
     def add_common_fit(p):
         p.add_argument("--T", type=lambda text: text if text == "auto" else scale(text),
                        default="auto", help="base squared-distance scale or 'auto'")
@@ -278,8 +265,7 @@ def build_parser() -> _Parser:
                        type=_checked(float, lambda v: 1 < v < np.inf, "a finite number > 1"))
         p.add_argument("--phi", type=in_unit,
                        default=1e-10, help="rank precision in (0,1)")
-        p.add_argument("--k-extra", dest="k_extra", default=8,
-                       type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+        p.add_argument("--k-extra", dest="k_extra", default=8, type=nonnegative,
                        help="sketch oversampling rows")
         p.add_argument("--max-scales", dest="max_scales", default=25,
                        type=_checked(int, lambda v: v >= 1, "an integer >= 1"))
@@ -295,7 +281,7 @@ def build_parser() -> _Parser:
                                                 "a finite number >= 0"),
                        help="synthetic noise standard deviation")
     p_fit.add_argument("--range", help="synthetic bounds lo:hi[,lo:hi]")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=nonnegative, default=0)
     add_common_fit(p_fit)
     p_fit.add_argument("--out", required=True, help="model JSON path")
     p_fit.add_argument("--report", help="per-scale report CSV path")

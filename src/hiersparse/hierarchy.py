@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FitError, ScaleUnfitError
 from .kernel import Dataset, diameter_T, gram, length_scale, numerical_rank
-from .network import optimize_gcv
+from .network import FittedScale, optimize_gcv
 from .sparsify import pivoted_qr_permutation, select_basis, sketch
 
 
@@ -80,6 +80,8 @@ def fit(
     X, Y, n = dataset.X, dataset.Y, dataset.n
     if n < 2:
         raise ValueError("need at least two points to fit")
+    if max_scales < 1:
+        raise ValueError(f"max_scales must be at least 1, got {max_scales}")
     T_val = diameter_T(X) if isinstance(T, str) else float(T)
     n_distinct = np.unique(X, axis=0).shape[0]
 
@@ -99,11 +101,7 @@ def fit(
         try:
             fs = optimize_gcv(basis.B, Y, centers, n)
         except ScaleUnfitError:
-            history.append(
-                ScaleRecord(s, eps, l_s, comp, np.inf, None, None, scale_seed, centers)
-            )
-            s += 1
-            continue
+            fs = FittedScale(theta=None, lam=None, q=None, cost=np.inf)
         history.append(
             ScaleRecord(s, eps, l_s, comp, fs.cost, fs.lam, fs.q, scale_seed, centers)
         )

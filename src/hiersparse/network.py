@@ -7,9 +7,10 @@ U = B (B^T B + n P)^{-1} B^T, and the model-selection score is
     GCV = (1/n) ||(I - U) Y||^2 / [ (1/n) tr(I - U) ]^2
 
 minimized jointly over the per-dimension difference orders Q in {1,2}^d and
-the positive weights Lambda inside the box ``LOG_LAMBDA_BOUNDS``: a log-grid
-plus golden-section search for d = 1, and for d >= 2 a projected Newton
-descent on log Lambda seeded from one log-grid line (``optimize_lambda``).
+the positive weights Lambda inside the box ``LOG_LAMBDA_BOUNDS``: each order
+combination is seeded from one log-grid pencil line, then refined by golden
+section (d = 1) or projected Newton descent on log Lambda (d >= 2).  The
+grids, ``REFINE_PASSES`` and ``REFINE_TOL`` are module constants, not settings.
 
 GCV needs B only through B^T B = R^T R, with R the triangular factor of a
 thin QR of B (Wood 2004, JASA 99:673, section 3), so the influence traces and
@@ -42,6 +43,10 @@ LOG_LAMBDA_BOUNDS = (-11.0, 5.0)
 # d >= 2 seeds along the diagonal lambda_1 = ... = lambda_d, half a decade apart
 LOG_LAMBDA_SEEDS = np.linspace(LOG_LAMBDA_BOUNDS[0], LOG_LAMBDA_BOUNDS[1], 33)
 NEWTON_MAX_STEPS = 20
+# d = 1 golden-section passes or d >= 2 Newton descents, and the log10
+# tolerance that ends each of them
+REFINE_PASSES = 3
+REFINE_TOL = 1e-3
 _MAX_HALVINGS = 30
 # column blocks of the lower-trapezoidal solve L^{-1} R^T (2, 4 and 8 measured)
 _TRACE_BLOCKS = 4
@@ -250,10 +255,10 @@ class _GCVSurface:
     ``cost`` is that score at Lambda = 10**rho (+inf when S cannot be
     factored or tr(I - U) vanishes).  ``derivatives(point)`` gives its
     gradient and Hessian in rho.  B enters the traces only through
-    B^T B = R^T R, with R the thin-QR factor of B (formed once here unless
-    the caller passes it).  With S = L L^T, V = L^{-1} R^T,
-    A = S^{-1} R^T = L^{-T} V, P_i = n lam_i Psi_i and Z_i = L^{-1} P_i A,
-    all l x l for n >= l, in eta = ln Lambda (Wood 2004, JASA 99:673):
+    B^T B = R^T R, with R the thin-QR factor of B.  With S = L L^T,
+    V = L^{-1} R^T, A = S^{-1} R^T = L^{-T} V, P_i = n lam_i Psi_i and
+    Z_i = L^{-1} P_i A, all l x l for n >= l, in eta = ln Lambda (Wood 2004,
+    JASA 99:673):
 
         tau = tr U = ||V||^2,  d tau_i = -tr(A^T P_i A),
         d2 tau_ij = 2 <Z_i, Z_j> + delta_ij d tau_i,
@@ -265,9 +270,8 @@ class _GCVSurface:
     products with an l x l matrix and no further factorization.
     """
 
-    def __init__(self, B, Y, C, centers, n, q, psis, R=None):
-        self.B, self.Y, self.C, self.n, self.psis = B, Y, C, n, psis
-        self.R = np.linalg.qr(B, mode="r") if R is None else R
+    def __init__(self, B, Y, C, R, centers, n, q, psis):
+        self.B, self.Y, self.C, self.R, self.n, self.psis = B, Y, C, R, n, psis
         self.BtY = B.T @ Y
         self.actions = [component_action(qi, centers, i) for i, qi in enumerate(q)]
 
@@ -394,124 +398,93 @@ def _floor_points(surface: _GCVSurface, rho: np.ndarray) -> list:
     return points
 
 
+def _search(B, Y, C, R, centers, n, q, psis) -> tuple[np.ndarray, float]:
+    """``optimize_lambda`` for orders ``q`` with C = B^T B, for d >= 2 the
+    thin-QR factor R of B, and the components ``psis`` already formed."""
+    d = len(q)
+    grid = LOG_LAMBDA_SEEDS if d > 1 else LOG_LAMBDA_GRID
+    line = _PencilLine(C, B, Y, sum(psis), n, 10.0 ** grid[0])
+    costs = [line.cost_at(10.0**g) for g in grid]
+    k = int(np.argmin(costs))
+    if not np.isfinite(costs[k]):
+        return 10.0 ** np.zeros(d), np.inf
+
+    if d == 1:
+        point, best_cost = grid[k], costs[k]
+        step = grid[1] - grid[0]
+        for _ in range(REFINE_PASSES):
+            x_best, c_best = _golden_section(
+                lambda x: line.cost_at(10.0**x), point - step, point + step, REFINE_TOL
+            )
+            if c_best < best_cost:
+                point, best_cost = x_best, c_best
+        return 10.0 ** np.asarray([point]), best_cost
+
+    surface = _GCVSurface(B, Y, C, R, centers, n, q, psis)
+    rho = np.full(d, grid[k])
+    found = _floor_points(surface, rho)
+    for _ in range(REFINE_PASSES):
+        end = _newton(surface, rho, REFINE_TOL)
+        found += [(end.cost, end.rho)] + _floor_points(surface, end.rho)
+        cost, rho = min(found, key=lambda point: point[0])
+        if not cost < end.cost:
+            break
+    if not np.isfinite(cost):
+        return 10.0 ** np.zeros(d), np.inf
+    return 10.0**rho, cost
+
+
+def _prepared(B, Y, centers):
+    """(B, Y, centers, C, R) as float arrays, with C = B^T B and, for d >= 2,
+    R the thin-QR factor of B (None for d = 1)."""
+    B = np.asarray(B, dtype=float)
+    Y = np.asarray(Y, dtype=float).ravel()
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    R = np.linalg.qr(B, mode="r") if centers.shape[1] > 1 else None
+    return B, Y, centers, B.T @ B, R
+
+
 def optimize_lambda(
-    B: np.ndarray,
-    Y: np.ndarray,
-    centers: np.ndarray,
-    n: int,
-    q: tuple[int, ...],
-    *,
-    refine_passes: int = 3,
-    refine_tol: float = 1e-3,
-    _psis=None,
-    _C=None,
-    _R=None,
+    B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int, q: tuple[int, ...]
 ) -> tuple[np.ndarray, float]:
     """Best positive weights for fixed penalty orders ``q``.
 
     Returns (Lambda, cost) with log10 Lambda inside ``LOG_LAMBDA_BOUNDS``;
     cost is the ``gcv`` score at Lambda, +inf when every candidate was
-    degenerate.
+    degenerate.  One ``_PencilLine`` along Psi_1 + ... + Psi_d, anchored at
+    the first grid point, scores the diagonal lambda_1 = ... = lambda_d on a
+    log10 grid: ``LOG_LAMBDA_GRID`` for d = 1, ``LOG_LAMBDA_SEEDS`` for d >= 2.
 
-    d = 1: one ``_PencilLine`` scores the grid ``LOG_LAMBDA_GRID``, then
-    ``refine_passes`` golden-section passes, each over one decade either
-    side of the incumbent, narrow it to ``refine_tol`` decades.
+    d = 1: ``REFINE_PASSES`` golden-section passes, each over one grid step
+    either side of the incumbent, narrow it to ``REFINE_TOL`` decades.
 
-    d >= 2: one ``_PencilLine`` along Psi_1 + ... + Psi_d scores the
-    diagonal lambda_1 = ... = lambda_d at ``LOG_LAMBDA_SEEDS``, and the best
-    point seeds a projected Newton descent on log10 Lambda with the exact
-    GCV gradient and Hessian (``_GCVSurface``, one Cholesky per point), which
-    stops once a step moves no log10 weight by ``refine_tol`` or more.  The
-    seed and the end of each descent are also tried with one weight at a
-    time at the box floor; the lowest such point, if it beats the descent,
-    starts the next one, up to ``refine_passes`` descents in all (with 0,
-    the best of the seed and its floor points).  The search is local: GCV can have several basins, and one
-    the diagonal does not lead to can be missed.
+    d >= 2: the best grid point seeds a projected Newton descent on log10
+    Lambda with the exact GCV gradient and Hessian (``_GCVSurface``, one
+    Cholesky per point), which stops once a step moves no log10 weight by
+    ``REFINE_TOL`` or more.  The seed and the end of each descent are also
+    tried with one weight at a time at the box floor; the lowest such point,
+    if it beats the descent, starts the next one, up to ``REFINE_PASSES``
+    descents in all.  The search is local: GCV can have several basins, and
+    one the diagonal does not lead to can be missed.
     """
-    B = np.asarray(B, dtype=float)
-    Y = np.asarray(Y, dtype=float).ravel()
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    d = centers.shape[1]
-    psis = _psis if _psis is not None else penalty_components(q, centers)
-    C = B.T @ B if _C is None else _C
-
-    if d > 1:
-        line = _PencilLine(C, B, Y, sum(psis), n, 10.0 ** LOG_LAMBDA_BOUNDS[0])
-        costs = [line.cost_at(10.0**g) for g in LOG_LAMBDA_SEEDS]
-        k = int(np.argmin(costs))
-        if not np.isfinite(costs[k]):
-            return 10.0 ** np.zeros(d), np.inf
-        surface = _GCVSurface(B, Y, C, centers, n, q, psis, _R)
-        rho = np.full(d, LOG_LAMBDA_SEEDS[k])
-        found = _floor_points(surface, rho)
-        if refine_passes < 1:
-            found.append((surface.at(rho).cost, rho))
-        for _ in range(refine_passes):
-            end = _newton(surface, rho, refine_tol)
-            found += [(end.cost, end.rho)] + _floor_points(surface, end.rho)
-            cost, rho = min(found, key=lambda point: point[0])
-            if not cost < end.cost:
-                break
-        cost, rho = min(found, key=lambda point: point[0])
-        if not np.isfinite(cost):
-            return 10.0 ** np.zeros(d), np.inf
-        return 10.0**rho, cost
-
-    grid = LOG_LAMBDA_GRID
-    line = _PencilLine(C, B, Y, psis[0], n, 10.0 ** grid[0])
-    best_point, best_cost = None, np.inf
-    for g in grid:
-        c = line.cost_at(10.0**g)
-        if c < best_cost:
-            best_point, best_cost = float(g), c
-    if best_point is None or not np.isfinite(best_cost):
-        return 10.0 ** np.zeros(d), np.inf
-
-    step = float(grid[1] - grid[0])
-    point = best_point
-    for _ in range(refine_passes):
-        x_best, c_best = _golden_section(
-            lambda x: line.cost_at(10.0**x), point - step, point + step, refine_tol
-        )
-        if c_best < best_cost:
-            point, best_cost = float(x_best), c_best
-    return 10.0 ** np.asarray([point]), best_cost
+    B, Y, centers, C, R = _prepared(B, Y, centers)
+    return _search(B, Y, C, R, centers, n, q, penalty_components(q, centers))
 
 
-def optimize_gcv(
-    B: np.ndarray,
-    Y: np.ndarray,
-    centers: np.ndarray,
-    n: int,
-    *,
-    refine_passes: int = 3,
-    refine_tol: float = 1e-3,
-) -> FittedScale:
+def optimize_gcv(B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int) -> FittedScale:
     """Minimize GCV over every order combination Q in {1,2}^d and Lambda > 0.
 
-    B^T B, and for d >= 2 the thin-QR factor R of B, are formed once and
-    shared by every combination's search.
+    B^T B, for d >= 2 the thin-QR factor R of B, and the components Psi_i
+    of each order are formed once and shared by every combination's search.
     """
-    B = np.asarray(B, dtype=float)
-    Y = np.asarray(Y, dtype=float).ravel()
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    B, Y, centers, C, R = _prepared(B, Y, centers)
     d = centers.shape[1]
-
-    C = B.T @ B
-    R = np.linalg.qr(B, mode="r") if d > 1 else None
-    psi_by_dim_q = {
-        (i, q): psi
-        for q in (1, 2)
-        for i, psi in enumerate(penalty_components([q] * d, centers))
-    }
+    psis_by_q = {q: penalty_components([q] * d, centers) for q in (1, 2)}
 
     best = None
     for q_combo in itertools.product((1, 2), repeat=d):
-        psis = [psi_by_dim_q[(i, qi)] for i, qi in enumerate(q_combo)]
-        lam, cost = optimize_lambda(
-            B, Y, centers, n, q_combo,
-            refine_passes=refine_passes, refine_tol=refine_tol, _psis=psis, _C=C, _R=R,
-        )
+        psis = [psis_by_q[qi][i] for i, qi in enumerate(q_combo)]
+        lam, cost = _search(B, Y, C, R, centers, n, q_combo, psis)
         if best is None or cost < best[2]:
             best = (q_combo, lam, cost, psis)
 

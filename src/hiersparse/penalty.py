@@ -12,7 +12,6 @@ Orders are restricted to q in {1, 2}; higher orders oversmooth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -39,10 +38,9 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
-    """Total operator P plus the unweighted per-dimension components."""
+    """Total operator P."""
 
     P: np.ndarray
-    per_dim: tuple[np.ndarray, ...]
 
 
 def difference_matrix(q: int, m: int) -> np.ndarray:
@@ -54,13 +52,7 @@ def difference_matrix(q: int, m: int) -> np.ndarray:
     """
     if q < 1:
         raise ValueError("difference order must be at least 1")
-    if m <= q:
-        return np.zeros((0, m))
-    stencil = np.array([(-1.0) ** (q - j) * comb(q, j) for j in range(q + 1)])
-    D = np.zeros((m - q, m))
-    for r in range(m - q):
-        D[r, r : r + q + 1] = stencil
-    return D
+    return np.diff(np.eye(m), n=q, axis=0)
 
 
 def _sort_order(points: np.ndarray, dim: int) -> np.ndarray:
@@ -81,30 +73,22 @@ def permutation_operator(points: np.ndarray, dim: int) -> np.ndarray:
 
 
 def penalty_components(Q, points: np.ndarray) -> list[np.ndarray]:
-    """Unweighted quadratic forms Psi_i = (D^{q_i} Pe_i)^T (D^{q_i} Pe_i)."""
+    """Unweighted quadratic forms Psi_i = (D^{q_i} Pe_i)^T (D^{q_i} Pe_i).
+
+    ``component_action`` of the identity, exact as the stencils are small
+    integers; adding 0.0 turns its -0.0 entries into the +0.0 of F^T F.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
-    comps = []
-    for i, q in enumerate(Q):
-        D = difference_matrix(int(q), m)
-        if D.shape[0] == 0:
-            # fewer coefficients than the stencil: this dimension contributes nothing
-            comps.append(np.zeros((m, m)))
-            continue
-        # D @ permutation_operator(points, i) as a column gather: column c of
-        # the product is the column of D at the sorted position of center c
-        F = D[:, np.argsort(_sort_order(points, i))]
-        psi = F.T @ F
-        comps.append((psi + psi.T) / 2.0)
-    return comps
+    eye = np.eye(points.shape[0])
+    return [component_action(int(q), points, i)(eye) + 0.0 for i, q in enumerate(Q)]
 
 
 def component_action(q: int, points: np.ndarray, dim: int):
     """Z -> Psi Z for the order-q component of dimension ``dim``, O(m) a column.
 
-    The same Psi as ``penalty_components`` builds densely: rows are gathered
-    into coordinate order, differenced q times, passed back through the
-    transposed differences and scattered to basis order.
+    Rows are gathered into coordinate order, differenced q times, passed back
+    through the transposed differences and scattered to basis order; with
+    fewer than q + 1 coefficients Psi is zero.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     order = _sort_order(points, dim)
@@ -124,8 +108,7 @@ def component_action(q: int, points: np.ndarray, dim: int):
 
 def penalty_operator(spec: PenaltySpec, points: np.ndarray) -> PenaltyMatrix:
     """Weighted sum of the per-dimension difference forms; symmetric PSD."""
-    comps = penalty_components(spec.Q, points)
-    return PenaltyMatrix(P=weighted_penalty(spec.Lambda, comps), per_dim=tuple(comps))
+    return PenaltyMatrix(P=weighted_penalty(spec.Lambda, penalty_components(spec.Q, points)))
 
 
 def weighted_penalty(Lambda, comps) -> np.ndarray:

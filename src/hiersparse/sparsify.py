@@ -18,12 +18,10 @@ from scipy.linalg import qr
 
 @dataclass(frozen=True)
 class ScaleBasis:
-    """Pivot order, the first ``l_s`` selected indices, and their Gram columns."""
+    """The first ``l_s`` indices of the pivot order and their Gram columns."""
 
-    pivot: np.ndarray
     selected: np.ndarray
     B: np.ndarray
-    l_s: int
 
 
 def sketch(G: np.ndarray, l_s: int, k_extra: int, seed: int) -> np.ndarray:
@@ -76,5 +74,4 @@ def select_basis(G: np.ndarray, pivot: np.ndarray, l_s: int) -> ScaleBasis:
     selected = pivot[:l_s].copy()
     if np.unique(selected).size != l_s:
         raise ValueError("pivot contains repeated indices")
-    B = G[:, selected].copy()
-    return ScaleBasis(pivot=pivot.copy(), selected=selected, B=B, l_s=int(l_s))
+    return ScaleBasis(selected=selected, B=G[:, selected].copy())

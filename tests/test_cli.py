@@ -82,7 +82,8 @@ class TestFit:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize(
-        "flag, value", [("--phi", "2"), ("--M", "0.5"), ("--k-extra", "-3"), ("--max-scales", "0")]
+        "flag, value", [("--phi", "2"), ("--M", "0.5"), ("--k-extra", "-3"), ("--max-scales", "0"),
+                        ("--seed", "-1")]
     )
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "m.json"

@@ -123,6 +123,15 @@ class TestFitLoop:
         with pytest.raises(ValueError):
             fit(Dataset(X=np.array([[0.0]]), Y=np.array([1.0])))
 
+    @pytest.mark.parametrize("max_scales", [0, -1])
+    def test_no_scale_to_fit_is_refused_up_front(self, monkeypatch, max_scales):
+        def never(*args, **kwargs):
+            raise AssertionError("no scale should be fit")
+
+        monkeypatch.setattr(hierarchy_mod, "gram", never)
+        with pytest.raises(ValueError, match="max_scales"):
+            fit(_small_dataset(seed=12), max_scales=max_scales)
+
     def test_parameter_validation(self):
         ds = _small_dataset(seed=12)
         for bad in (dict(M=1.0), dict(phi=2.0), dict(k_extra=-1), dict(T=-5.0),

@@ -155,6 +155,26 @@ class TestTracePath:
         assert np.array_equal(passed.V, system.V)
 
 
+class TestDuplicatedRows:
+    """Stacking (B, Y) on itself, with n -> 2n, doubles both sides of
+    (B^T B + n P) theta = B^T Y and of tr U's ratio, so none of them moves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(l=st.integers(1, 12), extra=st.integers(0, 20), k=st.integers(1, 12),
+           seed=st.integers(0, 2**16))
+    def test_weights_and_traces_are_unchanged(self, l, extra, k, seed):
+        rng = np.random.default_rng(seed)
+        n = l + extra
+        B, Y = rng.standard_normal((n, l)), rng.standard_normal(n)
+        F = rng.standard_normal((k, l))
+        P = F.T @ F
+        B2, Y2 = np.vstack([B, B]), np.concatenate([Y, Y])
+        theta, theta2 = solve_weights(B, Y, P, n), solve_weights(B2, Y2, P, 2 * n)
+        assert np.linalg.norm(theta2 - theta) <= 1e-9 * np.linalg.norm(theta)
+        for once, twice in zip(influence_traces(B, P, n), influence_traces(B2, P, 2 * n)):
+            assert twice == pytest.approx(once, rel=1e-9)
+
+
 class TestGCV:
     def test_zero_basis_limit(self):
         Y = np.array([1.0, -2.0, 3.0, 0.5])
@@ -292,8 +312,8 @@ class TestNewtonSearch:
         E = np.eye(d)
         for q in itertools.product((1, 2), repeat=d):
             f = lambda r: gcv(B, Y, penalty_operator(PenaltySpec(q, 10.0**r), centers).P, n)
-            surface = network._GCVSurface(B, Y, B.T @ B, centers, n, q,
-                                          penalty_components(q, centers))
+            surface = network._GCVSurface(B, Y, B.T @ B, np.linalg.qr(B, mode="r"),
+                                          centers, n, q, penalty_components(q, centers))
             point = surface.at(rho)
             assert point.cost == f(rho)
             g, H = surface.derivatives(point)

@@ -101,7 +101,7 @@ class TestSelectBasis:
         G = _random_gram(6, 1)
         basis = select_basis(G, np.arange(6), 6)
         assert np.array_equal(basis.B, G)
-        assert basis.l_s == 6
+        assert basis.selected.tolist() == list(range(6))
 
     def test_single_column(self):
         G = _random_gram(6, 2)
