@@ -76,12 +76,19 @@ def fit(
     once l_s reaches the number of distinct points in X (the Gram rank cannot
     exceed it) or ``max_scales`` scales have been fit.  A scale whose
     optimization degenerates is recorded with infinite cost and skipped.
+    Out-of-range settings raise a ``ValueError`` before any Gram matrix is built.
     """
     X, Y, n = dataset.X, dataset.Y, dataset.n
     if n < 2:
         raise ValueError("need at least two points to fit")
     if max_scales < 1:
         raise ValueError(f"max_scales must be at least 1, got {max_scales}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if k_extra < 0:
+        raise ValueError(f"k_extra must be at least 0, got {k_extra}")
+    if not 0 < phi < 1:
+        raise ValueError(f"phi must lie in (0, 1), got {phi}")
     T_val = diameter_T(X) if isinstance(T, str) else float(T)
     n_distinct = np.unique(X, axis=0).shape[0]
 

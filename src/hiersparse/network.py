@@ -416,8 +416,9 @@ def _search(B, Y, C, R, centers, n, q, psis) -> tuple[np.ndarray, float]:
             x_best, c_best = _golden_section(
                 lambda x: line.cost_at(10.0**x), point - step, point + step, REFINE_TOL
             )
-            if c_best < best_cost:
-                point, best_cost = x_best, c_best
+            if not c_best < best_cost:
+                break  # the next pass would search the same interval again
+            point, best_cost = x_best, c_best
         return 10.0 ** np.asarray([point]), best_cost
 
     surface = _GCVSurface(B, Y, C, R, centers, n, q, psis)
@@ -455,8 +456,9 @@ def optimize_lambda(
     the first grid point, scores the diagonal lambda_1 = ... = lambda_d on a
     log10 grid: ``LOG_LAMBDA_GRID`` for d = 1, ``LOG_LAMBDA_SEEDS`` for d >= 2.
 
-    d = 1: ``REFINE_PASSES`` golden-section passes, each over one grid step
-    either side of the incumbent, narrow it to ``REFINE_TOL`` decades.
+    d = 1: up to ``REFINE_PASSES`` golden-section passes, each over one grid
+    step either side of the incumbent, narrow it to ``REFINE_TOL`` decades;
+    a pass that does not lower the cost ends the refinement.
 
     d >= 2: the best grid point seeds a projected Newton descent on log10
     Lambda with the exact GCV gradient and Hessian (``_GCVSurface``, one

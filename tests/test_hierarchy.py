@@ -15,6 +15,7 @@ from hiersparse import (
     compression_ratio,
     eval_true,
     fit,
+    predict_intervals,
     predict_mean,
     sample,
 )
@@ -132,6 +133,18 @@ class TestFitLoop:
         with pytest.raises(ValueError, match="max_scales"):
             fit(_small_dataset(seed=12), max_scales=max_scales)
 
+    @pytest.mark.parametrize("bad, name", [
+        (dict(seed=-1), "seed"), (dict(seed=1.5), "seed"), (dict(k_extra=-1), "k_extra"),
+        (dict(phi=0.0), "phi"), (dict(phi=1.0), "phi"), (dict(phi=float("nan")), "phi"),
+    ])
+    def test_bad_settings_are_refused_before_any_gram(self, monkeypatch, bad, name):
+        def never(*args, **kwargs):
+            raise AssertionError("no Gram matrix should be built")
+
+        monkeypatch.setattr(hierarchy_mod, "gram", never)
+        with pytest.raises(ValueError, match=name):
+            fit(_small_dataset(seed=12), **bad)
+
     def test_parameter_validation(self):
         ds = _small_dataset(seed=12)
         for bad in (dict(M=1.0), dict(phi=2.0), dict(k_extra=-1), dict(T=-5.0),
@@ -187,6 +200,52 @@ class TestTranslation:
         assert [r.l_s for r in b.history] == [r.l_s for r in a.history]
         assert np.array_equal(b.X_t, a.X_t + 1e6)
         assert np.max(np.abs(b.C_t - a.C_t)) <= 1e-9 * np.max(np.abs(a.C_t))
+
+
+def _scaling_problem(d, seed):
+    n = 60 if d == 1 else 50
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(n, d))
+    Y = np.sin(6.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+    return Dataset(X=X, Y=Y), rng.uniform(-0.1, 1.1, size=(40, d))
+
+
+_INTERVAL_FIELDS = ("mean", "std", "lower", "upper")
+
+
+class TestScaling:
+    # scaling by a power of two is exact in binary floating point, and every
+    # operation on Y is homogeneous while the kernel sees (c delta)^2 / (c^2 eps)
+
+    @given(seed=st.integers(0, 2**16), d=st.integers(1, 2), k=st.integers(-200, 200))
+    @settings(max_examples=8, deadline=None)
+    def test_scaled_responses_scale_the_weights_and_intervals(self, seed, d, k):
+        ds, X_m = _scaling_problem(d, seed)
+        c = 2.0**k
+        scaled = Dataset(X=ds.X, Y=c * ds.Y)
+        a, b = fit(ds, seed=seed), fit(scaled, seed=seed)
+        assert (b.t, b.Q_t) == (a.t, a.Q_t)
+        assert np.array_equal(b.Lambda_t, a.Lambda_t)
+        assert np.array_equal(b.C_t, c * a.C_t)
+        pa, pb = predict_intervals(a, ds, X_m), predict_intervals(b, scaled, X_m)
+        for name in _INTERVAL_FIELDS:
+            assert np.array_equal(getattr(pb, name), c * getattr(pa, name)), name
+
+    # c^2 times the squared diameter of [0, 1]^d stays inside float range
+    @given(seed=st.integers(0, 2**16), d=st.integers(1, 2), k=st.integers(-400, 400))
+    @settings(max_examples=8, deadline=None)
+    def test_scaled_coordinates_give_the_same_fit(self, seed, d, k):
+        ds, X_m = _scaling_problem(d, seed)
+        c = 2.0**k
+        scaled = Dataset(X=c * ds.X, Y=ds.Y)
+        a, b = fit(ds, seed=seed), fit(scaled, seed=seed)
+        assert (b.t, b.Q_t) == (a.t, a.Q_t)
+        for name in ("Lambda_t", "C_t"):
+            assert np.array_equal(getattr(b, name), getattr(a, name)), name
+        assert np.array_equal(b.X_t, c * a.X_t)
+        pa, pb = predict_intervals(a, ds, X_m), predict_intervals(b, scaled, c * X_m)
+        for name in _INTERVAL_FIELDS:
+            assert np.array_equal(getattr(pb, name), getattr(pa, name)), name
 
 
 class TestFailedScales:

@@ -296,6 +296,33 @@ class TestPencilLine:
                 assert len(eigh_calls) == 1
 
 
+class TestGoldenSection:
+    def test_no_pass_repeats_the_interval_of_the_last(self, monkeypatch):
+        # a pass that fails to lower the cost leaves the incumbent in place,
+        # so another pass would search the same interval from the same point
+        searches = []
+        real_search, real_golden = network._search, network._golden_section
+
+        def search(*args):
+            searches.append([])
+            return real_search(*args)
+
+        def golden(f, a, b, tol):
+            searches[-1].append((a, b))
+            return real_golden(f, a, b, tol)
+
+        monkeypatch.setattr(network, "_search", search)
+        monkeypatch.setattr(network, "_golden_section", golden)
+        for seed, s in itertools.product(range(4), (1, 2, 3)):
+            prob = make_basis_problem(60, 1, seed=seed, s=s)
+            optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
+        assert len(searches) == 24
+        assert any(len(passes) > 1 for passes in searches)
+        for passes in searches:
+            assert 1 <= len(passes) <= network.REFINE_PASSES
+            assert all(a != b for a, b in zip(passes, passes[1:]))
+
+
 class TestNewtonSearch:
     # points where the penalty conditions S: near the box floor gcv() itself
     # is smooth only to about 1e-10, too rough for a second difference

@@ -23,9 +23,10 @@ from hiersparse import (
     predict_std,
     residual_dof,
     sigma2_hat,
+    solve_weights,
 )
 from hiersparse.dataio import model_from_dict, model_to_dict
-from helpers import influence_oracle, kernel_matrix_oracle, penalty_oracle
+from helpers import influence_oracle, kernel_matrix_oracle, make_basis_problem, penalty_oracle
 
 
 def _manual_model(X_t, C_t, eps=1.0, lam=(1.0,), q=(1,), n_train=5):
@@ -183,6 +184,45 @@ class TestPredictStd:
         expect = np.sqrt(sigma2) * np.sqrt(np.einsum("ij,jk,ik->i", B_m, S_inv, B_m))
         assert got == pytest.approx(expect, rel=1e-9)
 
+    def test_inverse_factor_matches_extended_precision_substitution(self):
+        # a weight at the box floor leaves S = B^T B + n P ill conditioned
+        # (cond(L) about 7e4); the product with L^{-1} must stay as accurate
+        # as forward substitution, here against a long-double reference
+        prob = make_basis_problem(50, 2, seed=1, s=2)
+        ds, X_t, eps = prob["dataset"], prob["centers"], prob["eps"]
+        Q, lam = (2, 2), np.array([1e-11, 1e-9])
+        P = penalty_operator(PenaltySpec(Q, lam), X_t).P
+        model = _manual_model(X_t, solve_weights(prob["B"], ds.Y, P, 50), eps=eps,
+                              lam=lam, q=Q, n_train=50)
+        B_t = kernel_matrix(ds.X, X_t, eps)
+        L = np.tril(network._PenalizedSystem(B_t, P, 50).factor[0])
+        assert 1e4 < np.linalg.cond(L) < 1e6
+        X_m = np.random.default_rng(0).uniform(-1.1, 1.1, size=(200, 2))
+        L_ext = L.astype(np.longdouble)
+        rhs = kernel_matrix(X_m, X_t, eps).T.astype(np.longdouble)
+        W = np.zeros_like(rhs)
+        for i in range(len(L)):
+            W[i] = (rhs[i] - L_ext[i, :i] @ W[:i]) / L_ext[i, i]
+        sigma = np.sqrt(np.longdouble(sigma2_hat(model, ds)))
+        expect = sigma * np.sqrt(np.sum(W * W, axis=0))
+        got = predict_std(model, ds, X_m)
+        assert float(np.max(np.abs(got - expect) / expect)) <= 1e-11
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_and_single_query_batches(self, d):
+        ds, model = _served(d)
+        none = np.zeros((0, d))
+        assert predict_std(model, ds, none).shape == (0,)
+        ps = predict_intervals(model, ds, none)
+        for name in ("mean", "std", "lower", "upper"):
+            assert getattr(ps, name).shape == (0,)
+        one = [[0.25] * d]
+        std = predict_std(model, ds, one)
+        ps = predict_intervals(model, ds, one)
+        assert std.shape == ps.std.shape == (1,)
+        assert np.isfinite(std[0]) and std[0] > 0.0
+        assert ps.std[0] == std[0]
+
 
 class TestConfidenceIntervals:
     def test_zero_std_degenerate_interval(self):
@@ -337,12 +377,21 @@ class TestNoiseFitMemo:
         ds, model = _served(2)
         predict._NOISE_FIT_MEMO.clear()
         calls = _count_factorizations(monkeypatch)
-        for m in (1, 10, 100):
+        inversions = []
+        real_trtri = predict.dtrtri
+
+        def counting_trtri(*args, **kwargs):
+            inversions.append(1)
+            return real_trtri(*args, **kwargs)
+
+        monkeypatch.setattr(predict, "dtrtri", counting_trtri)
+        for m in (0, 1, 10, 100):
             predict_intervals(model, ds, _queries(2, m))
         predict_std(model, ds, _queries(2, 5))
         sigma2_hat(model, ds)
         residual_dof(model, ds)
         assert len(calls) == 1
+        assert len(inversions) == 1
 
     def test_the_memo_holds_one_entry(self, monkeypatch):
         pairs = [_served(1), _served(2), _served(1)]
