@@ -41,10 +41,8 @@ from .network import (
 from .penalty import (
     PenaltyMatrix,
     PenaltySpec,
-    difference_matrix,
     penalty_components,
     penalty_operator,
-    permutation_operator,
 )
 from .predict import (
     PredictionSet,
@@ -86,7 +84,6 @@ __all__ = [
     "compression_ratio",
     "confidence_intervals",
     "diameter_T",
-    "difference_matrix",
     "eval_true",
     "fit",
     "gcv",
@@ -100,7 +97,6 @@ __all__ = [
     "optimize_lambda",
     "penalty_components",
     "penalty_operator",
-    "permutation_operator",
     "pivoted_qr",
     "pivoted_qr_permutation",
     "predict_intervals",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage/input error, 2 computation error.  Every run
 is reproducible from (flags, seed, input file); outputs carry no wall-clock
-state, so repeated invocations are byte-identical.
+state, so repeated invocations are byte-identical at a fixed BLAS thread
+count (the thread count changes the order of floating-point sums).
 """
 from __future__ import annotations
 
@@ -61,20 +62,23 @@ def _checked(cast, ok, rule: str):
     return parse
 
 
-def _parse_bounds(text: str):
-    pairs = []
+def _parse_axes(text: str, flag: str, form: str) -> list[tuple]:
+    """The comma-separated entries of ``flag``, each ``form``: lo:hi with finite
+    lo < hi, then an integer count >= 1 when ``form`` is lo:hi:count."""
+    axes = []
     for part in text.split(","):
         bits = part.split(":")
-        if len(bits) != 2:
-            raise UsageError(f"--range entries look like lo:hi, got {part!r}")
         try:
-            lo, hi = float(bits[0]), float(bits[1])
+            if len(bits) != form.count(":") + 1:
+                raise ValueError
+            lo, hi, counts = float(bits[0]), float(bits[1]), [int(b) for b in bits[2:]]
+            if not (np.isfinite([lo, hi]).all() and lo < hi and min(counts, default=1) >= 1):
+                raise ValueError
         except ValueError:
-            raise UsageError(f"--range bounds must be numbers, got {part!r}") from None
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise UsageError(f"--range needs finite bounds with lo < hi, got {part!r}")
-        pairs.append((lo, hi))
-    return tuple(pairs)
+            name = flag.lstrip("-")
+            raise UsageError(f"bad {name} axis {part!r} for {flag} (expected {form})") from None
+        axes.append((lo, hi, *counts))
+    return axes
 
 
 def _mesh(axes) -> np.ndarray:
@@ -83,19 +87,7 @@ def _mesh(axes) -> np.ndarray:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    axes = []
-    for part in text.split(","):
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise UsageError(f"--grid entries look like lo:hi:count, got {part!r}")
-        try:
-            lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
-        except ValueError:
-            raise UsageError(f"bad grid axis {part!r}") from None
-        if count < 1 or not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise UsageError(f"bad grid axis {part!r}")
-        axes.append(np.linspace(lo, hi, count))
-    return _mesh(axes)
+    return _mesh([np.linspace(*axis) for axis in _parse_axes(text, "--grid", "lo:hi:count")])
 
 
 def _default_grid(model: SparseModel, per_dim: int = 200) -> np.ndarray:
@@ -108,7 +100,7 @@ def _default_grid(model: SparseModel, per_dim: int = 200) -> np.ndarray:
 def _synth_spec_from_args(args) -> SynthSpec:
     if args.n is None or args.noise is None:
         raise UsageError("--synth requires --n and --noise")
-    bounds = _parse_bounds(args.range) if args.range else None
+    bounds = tuple(_parse_axes(args.range, "--range", "lo:hi")) if args.range else None
     if bounds is not None and len(bounds) != FAMILY_DIMS[args.synth]:
         raise UsageError(f"--range needs one lo:hi pair per dimension of {args.synth}")
     return SynthSpec(

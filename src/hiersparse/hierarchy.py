@@ -9,6 +9,7 @@ convergence length scale.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,8 @@ def fit(
     exceed it) or ``max_scales`` scales have been fit.  A scale whose
     optimization degenerates is recorded with infinite cost and skipped.
     Out-of-range settings raise a ``ValueError`` before any Gram matrix is built.
+    The sketch's Gaussian matrix meets the rows in dataset order, so permuting
+    the rows can change the selected points, and with them the fit.
     """
     X, Y, n = dataset.X, dataset.Y, dataset.n
     if n < 2:
@@ -89,6 +92,8 @@ def fit(
         raise ValueError(f"k_extra must be at least 0, got {k_extra}")
     if not 0 < phi < 1:
         raise ValueError(f"phi must lie in (0, 1), got {phi}")
+    if not (T == "auto" if isinstance(T, str) else isinstance(T, numbers.Real)):
+        raise ValueError(f"T must be 'auto' or a number, got {T!r}")
     T_val = diameter_T(X) if isinstance(T, str) else float(T)
     n_distinct = np.unique(X, axis=0).shape[0]
 

@@ -15,6 +15,9 @@ grids, ``REFINE_PASSES`` and ``REFINE_TOL`` are module constants, not settings.
 GCV needs B only through B^T B = R^T R, with R the triangular factor of a
 thin QR of B (Wood 2004, JASA 99:673, section 3), so the influence traces and
 the Newton search's derivatives work with l x l matrices, not l x n ones.
+
+Every Cholesky factor of a penalized system, and its inverse, comes from
+``_PenalizedSystem``, here and in ``predict``.
 """
 from __future__ import annotations
 
@@ -113,24 +116,33 @@ def _lower_solve(L: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 class _PenalizedSystem:
-    """The penalized normal equations S = C + n P of basis B, factored once.
+    """The penalized system S = C + w P of basis B, factored once.
 
-    C = B^T B unless the caller passes it.  S = L L^T by ``_factor`` (one
-    jittered retry).  With R the min(n, l) x l factor of a thin QR of B
-    (R^T R = B^T B; formed on the first trace read unless the caller passes
-    it) and V = L^{-1} R^T, an l x min(n, l) matrix, U = B S^{-1} B^T has
-    the nonzero spectrum of V^T V, so tr U = ||V||^2 and
-    tr U U^T = ||V V^T||^2; V and the traces are formed only when first read.
+    C = B^T B unless the caller passes it, and w = n except on a pencil
+    line's anchor.  S = L L^T by ``_factor`` (one jittered retry; raises
+    ``IllConditionedScaleError``).  With R the min(n, l) x l factor of a thin
+    QR of B (R^T R = B^T B; formed on the first trace read unless the caller
+    passes it) and V = L^{-1} R^T, an l x min(n, l) matrix, U = B S^{-1} B^T
+    has the nonzero spectrum of V^T V, so tr U = ||V||^2 and
+    tr U U^T = ||V V^T||^2.  V, the traces and L^{-1} (xTRTRI) are formed
+    only when first read.
     """
 
-    def __init__(self, B: np.ndarray, P: np.ndarray, n: int, C: np.ndarray | None = None,
+    def __init__(self, B: np.ndarray, P: np.ndarray, w: float, C: np.ndarray | None = None,
                  R: np.ndarray | None = None):
         self.B, self.R = B, R
         C = B.T @ B if C is None else C
-        self.factor = _factor(C + n * P, _default_jitter(C))
+        self.factor = _factor(C + w * P, _default_jitter(C))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self.factor, rhs, check_finite=False)
+
+    @cached_property
+    def Linv(self) -> np.ndarray:
+        Linv, info = dtrtri(self.factor[0], lower=1)
+        if info != 0:
+            raise LinAlgError(f"dtrtri: info {info}")
+        return Linv
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -183,8 +195,9 @@ def gcv(B: np.ndarray, Y: np.ndarray, P: np.ndarray, n: int) -> float:
 class _PencilLine:
     """GCV along one penalty direction Psi.
 
-    The line of systems C + n*lam*Psi is whitened against its
-    lam_floor member S = L L^T: LAPACK's xSYGST reduces n*Psi to
+    The line of systems C + n*lam*Psi is whitened against its lam_floor
+    member S = L L^T (raises ``IllConditionedScaleError`` when S cannot be
+    factored): LAPACK's xSYGST reduces n*Psi to
     K = L^{-1} (n Psi) L^{-T} in one blocked pass, ``eigh`` diagonalizes
     K = W diag(gamma) W^T, and one triangular solve back-transforms the
     eigenvectors to V = L^{-T} W, so Btilde = B V.  Every lambda evaluation
@@ -200,14 +213,7 @@ class _PencilLine:
         self.n = n
         self.Y = Y
         self.lam_floor = lam_floor
-        S_ref = C + (n * lam_floor) * psi
-        self.ok = True
-        try:
-            factor = _factor(S_ref, _default_jitter(C))
-        except IllConditionedScaleError:
-            self.ok = False
-            return
-        L = factor[0]
+        L = _PenalizedSystem(B, psi, n * lam_floor, C).factor[0]
         K, info = dsygst(n * psi, L, itype=1, lower=1)
         if info != 0:
             raise LinAlgError(f"dsygst: illegal value in argument {-info}")
@@ -219,8 +225,6 @@ class _PencilLine:
         self.cdiag = np.sum(self.B_tilde**2, axis=0)  # diag of whitened B^T B
 
     def cost_at(self, lam: float) -> float:
-        if not self.ok:
-            return np.inf
         den = 1.0 + (lam - self.lam_floor) * self.gamma
         tr_u = float(np.sum(self.cdiag / den))
         denom = self.n - tr_u
@@ -266,7 +270,7 @@ class _GCVSurface:
 
     and the residual sum of squares follows from theta, d theta_i, B and the
     residual, O(n l) each.  The banded Psi_i act through ``component_action``
-    and L^{-1} is formed once (xTRTRI), so a Hessian costs d + 1 triangular
+    and L^{-1} is the system's ``Linv``, so a Hessian costs d + 1 triangular
     products with an l x l matrix and no further factorization.
     """
 
@@ -295,16 +299,13 @@ class _GCVSurface:
     def derivatives(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian of the cost in log10 Lambda at ``point``."""
         n, d, system = self.n, len(self.psis), point.system
-        Linv, info = dtrtri(system.factor[0], lower=1)
-        if info != 0:
-            raise LinAlgError(f"dtrtri: info {info}")
-        A = dtrmm(1.0, Linv, system.V, lower=1, trans_a=1)
+        A = dtrmm(1.0, system.Linv, system.V, lower=1, trans_a=1)
         scale = n * point.lam
         dtau, Z = np.empty(d), []
         for i, (s_i, act) in enumerate(zip(scale, self.actions)):
             PA = np.asfortranarray(act(A))
             dtau[i] = -s_i * np.einsum("ij,ij->", A, PA)
-            Z.append(dtrmm(s_i, Linv, PA, lower=1, overwrite_b=1))
+            Z.append(dtrmm(s_i, system.Linv, PA, lower=1, overwrite_b=1))
         del A, PA
         d2tau = np.diag(dtau)
         Ptheta = [s_i * act(point.theta) for s_i, act in zip(scale, self.actions)]
@@ -403,7 +404,10 @@ def _search(B, Y, C, R, centers, n, q, psis) -> tuple[np.ndarray, float]:
     thin-QR factor R of B, and the components ``psis`` already formed."""
     d = len(q)
     grid = LOG_LAMBDA_SEEDS if d > 1 else LOG_LAMBDA_GRID
-    line = _PencilLine(C, B, Y, sum(psis), n, 10.0 ** grid[0])
+    try:
+        line = _PencilLine(C, B, Y, sum(psis), n, 10.0 ** grid[0])
+    except IllConditionedScaleError:
+        return 10.0 ** np.zeros(d), np.inf
     costs = [line.cost_at(10.0**g) for g in grid]
     k = int(np.argmin(costs))
     if not np.isfinite(costs[k]):

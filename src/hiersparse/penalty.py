@@ -1,13 +1,15 @@
 """Difference-based smoothing penalties composed across dimensions.
 
 Coefficients live on the selected centers in pivot order.  For each dimension
-``i`` a permutation operator reorders them by nondecreasing center coordinate,
-an order-``q_i`` difference matrix penalizes their successive changes, and the
-weighted quadratic forms are summed:
+``i`` a permutation Pe_i reorders them by nondecreasing center coordinate, an
+order-``q_i`` difference operator D^{q_i} penalizes their successive changes,
+and the weighted quadratic forms are summed:
 
     P = sum_i lambda_i * Pe_i^T D^{q_i}^T D^{q_i} Pe_i
 
-Orders are restricted to q in {1, 2}; higher orders oversmooth.
+D^q and Pe_i are formed only inside ``component_action``, as a gather and q
+differences; no dense D^q or Pe_i is built.  Orders are restricted to
+q in {1, 2}; higher orders oversmooth.
 """
 from __future__ import annotations
 
@@ -43,35 +45,6 @@ class PenaltyMatrix:
     P: np.ndarray
 
 
-def difference_matrix(q: int, m: int) -> np.ndarray:
-    """Order-q forward difference operator on m coefficients.
-
-    Row r applies the q-th difference ending at position r+q: binomial
-    coefficients with alternating signs, e.g. (-1, 1) for q=1 and
-    (1, -2, 1) for q=2.  Returns an empty (0 x m) matrix when m <= q.
-    """
-    if q < 1:
-        raise ValueError("difference order must be at least 1")
-    return np.diff(np.eye(m), n=q, axis=0)
-
-
-def _sort_order(points: np.ndarray, dim: int) -> np.ndarray:
-    """Basis positions by nondecreasing coordinate ``dim``; ties keep pivot order."""
-    if not 0 <= dim < points.shape[1]:
-        raise ValueError(f"dimension {dim} out of range for d={points.shape[1]}")
-    return np.argsort(points[:, dim], kind="stable")
-
-
-def permutation_operator(points: np.ndarray, dim: int) -> np.ndarray:
-    """Permutation matrix sorting coefficients by coordinate in ``dim``.
-
-    Row r of the result selects the coefficient whose center has the r-th
-    smallest coordinate; exact ties keep their basis (pivot) order.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.eye(points.shape[0])[_sort_order(points, dim)]
-
-
 def penalty_components(Q, points: np.ndarray) -> list[np.ndarray]:
     """Unweighted quadratic forms Psi_i = (D^{q_i} Pe_i)^T (D^{q_i} Pe_i).
 
@@ -91,7 +64,9 @@ def component_action(q: int, points: np.ndarray, dim: int):
     fewer than q + 1 coefficients Psi is zero.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    order = _sort_order(points, dim)
+    if not 0 <= dim < points.shape[1]:
+        raise ValueError(f"dimension {dim} out of range for d={points.shape[1]}")
+    order = np.argsort(points[:, dim], kind="stable")  # ties keep pivot order
 
     def apply(Z: np.ndarray) -> np.ndarray:
         if len(order) <= q:

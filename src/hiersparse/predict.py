@@ -16,9 +16,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateDofError
 from .hierarchy import SparseModel
@@ -62,10 +60,6 @@ def predict_mean(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
     return B_m @ model.C_t
 
 
-def _penalty_at_convergence(model: SparseModel) -> np.ndarray:
-    return penalty_operator(PenaltySpec(model.Q_t, model.Lambda_t), model.X_t).P
-
-
 # the most recent noise fit, (L^{-1}, sigma^2, df_res), under its _noise_fit_key;
 # entries are never modified, so a race between threads costs a refit at worst
 _NOISE_FIT_MEMO: dict[bytes, tuple[np.ndarray, float, float]] = {}
@@ -92,17 +86,15 @@ def _noise_fit(model: SparseModel, dataset: Dataset):
     if noise is None:
         n = dataset.n
         B_t = kernel_matrix(dataset.X, model.X_t, model.epsilon_t)
-        system = _PenalizedSystem(B_t, _penalty_at_convergence(model), n)
+        P = penalty_operator(PenaltySpec(model.Q_t, model.Lambda_t), model.X_t).P
+        system = _PenalizedSystem(B_t, P, n)
         df_res = n - 2.0 * system.trace_u + system.trace_uut
         if df_res <= 0:
             raise DegenerateDofError(
                 f"residual degrees of freedom {df_res:.3g} <= 0; intervals suppressed"
             )
-        Linv, info = dtrtri(system.factor[0], lower=1)
-        if info != 0:
-            raise LinAlgError(f"dtrtri: info {info}")
         resid = dataset.Y - B_t @ model.C_t
-        noise = Linv, float(resid @ resid) / df_res, df_res
+        noise = system.Linv, float(resid @ resid) / df_res, df_res
         _NOISE_FIT_MEMO.clear()
         _NOISE_FIT_MEMO[key] = noise
     return noise

@@ -136,6 +136,7 @@ class TestFitLoop:
     @pytest.mark.parametrize("bad, name", [
         (dict(seed=-1), "seed"), (dict(seed=1.5), "seed"), (dict(k_extra=-1), "k_extra"),
         (dict(phi=0.0), "phi"), (dict(phi=1.0), "phi"), (dict(phi=float("nan")), "phi"),
+        (dict(T="foo"), "T must be 'auto'"), (dict(T=None), "T must be 'auto'"),
     ])
     def test_bad_settings_are_refused_before_any_gram(self, monkeypatch, bad, name):
         def never(*args, **kwargs):
@@ -246,6 +247,48 @@ class TestScaling:
         pa, pb = predict_intervals(a, ds, X_m), predict_intervals(b, scaled, c * X_m)
         for name in _INTERVAL_FIELDS:
             assert np.array_equal(getattr(pb, name), getattr(pa, name)), name
+
+
+def _scaled(ds, c, kind):
+    """``ds`` with its responses (kind "Y") or its coordinates (kind "X") times c."""
+    return Dataset(X=ds.X, Y=c * ds.Y) if kind == "Y" else Dataset(X=c * ds.X, Y=ds.Y)
+
+
+def _max_rel(got, expect):
+    return float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+
+
+class TestNonDyadicScaling:
+    # scaling by 3 or 0.1 rounds every scaled entry, so only the discrete
+    # choices are exact; the weights move with the conditioning of the fit
+
+    @given(seed=st.integers(0, 2**16), d=st.integers(1, 2),
+           c=st.sampled_from([3.0, 0.1]), kind=st.sampled_from(["X", "Y"]))
+    @settings(max_examples=4, deadline=None)
+    def test_same_scales_orders_and_points(self, seed, d, c, kind):
+        ds, _ = _scaling_problem(d, seed)
+        a, b = fit(ds, seed=seed), fit(_scaled(ds, c, kind), seed=seed)
+        assert (b.t, b.Q_t) == (a.t, a.Q_t)
+        assert [r.l_s for r in b.history] == [r.l_s for r in a.history]
+        assert np.array_equal(b.X_t, c * a.X_t if kind == "X" else a.X_t)
+
+    # worst deviation measured on these datasets (seed 0, c in {3, 0.1}):
+    # d = 1, Lambda_t equal and C_t 4.2e-11; d = 2, Lambda_t 2.4e-8 and
+    # C_t 2.9e-8; the bounds leave a factor of 20 or more
+    @pytest.mark.parametrize("n, d", [(200, 1), (120, 1), (150, 2)])
+    def test_weights_within_tolerance(self, n, d):
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0.0, 1.0, size=(n, d))
+        ds = Dataset(X=X, Y=np.sin(6.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n))
+        tol_lam, tol_c = (0.0, 1e-9) if d == 1 else (1e-6, 1e-6)
+        a = fit(ds, seed=0)
+        for c in (3.0, 0.1):
+            for kind in ("X", "Y"):
+                b = fit(_scaled(ds, c, kind), seed=0)
+                assert (b.t, b.Q_t) == (a.t, a.Q_t)
+                assert [r.l_s for r in b.history] == [r.l_s for r in a.history]
+                assert _max_rel(b.Lambda_t, a.Lambda_t) <= tol_lam
+                assert _max_rel(b.C_t, c * a.C_t if kind == "Y" else a.C_t) <= tol_c
 
 
 class TestFailedScales:

@@ -9,7 +9,9 @@ from scipy.linalg import solve_triangular
 from hiersparse import network
 from hiersparse import (
     DegenerateGCVError,
+    IllConditionedScaleError,
     PenaltySpec,
+    ScaleUnfitError,
     gcv,
     influence_matrix,
     influence_traces,
@@ -384,6 +386,75 @@ class TestNewtonSearch:
                 for a in grid for b in grid
             )
             assert cost <= grid_min * (1.0 + 1e-9)
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace ``network.<name>`` by a wrapper that records each call in ``calls``."""
+    real = getattr(network, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, name, counted)
+
+
+class TestPenalizedSystemOwner:
+    @pytest.mark.parametrize("n, d, seed, s", [(60, 1, 3, 3), (80, 2, 4, 2)])
+    def test_every_factor_belongs_to_a_penalized_system(self, monkeypatch, n, d, seed, s):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+        factors, systems = [], []
+        _counting(monkeypatch, "_factor", factors)
+
+        class CountingSystem(network._PenalizedSystem):
+            def __init__(self, *args, **kwargs):
+                systems.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(network, "_PenalizedSystem", CountingSystem)
+        optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
+        assert len(factors) == len(systems) > 2**d
+
+    def test_two_derivative_calls_at_one_point_invert_once(self, monkeypatch):
+        prob = make_basis_problem(80, 2, seed=4, s=2)
+        B, Y, centers = prob["B"], prob["Y"], prob["centers"]
+        q = (1, 2)
+        surface = network._GCVSurface(B, Y, B.T @ B, np.linalg.qr(B, mode="r"),
+                                      centers, 80, q, penalty_components(q, centers))
+        point = surface.at(np.array([-3.0, -2.0]))
+        inversions = []
+        _counting(monkeypatch, "dtrtri", inversions)
+        first, again = surface.derivatives(point), surface.derivatives(point)
+        assert len(inversions) == 1
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, d, seed, s", [(60, 1, 3, 3), (80, 2, 4, 2)])
+    def test_unfactorable_anchor_gives_an_unfit_scale(self, monkeypatch, n, d, seed, s):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+
+        def singular(S, jitter):
+            raise IllConditionedScaleError("forced")
+
+        monkeypatch.setattr(network, "_factor", singular)
+        lam, cost = optimize_lambda(prob["B"], prob["Y"], prob["centers"], n, (1,) * d)
+        assert cost == np.inf
+        assert np.array_equal(lam, np.ones(d))
+        with pytest.raises(ScaleUnfitError):
+            optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
+
+    def test_singular_system_is_solved_after_one_jittered_retry(self, monkeypatch):
+        # columns 1 and 3 are equal; in integers the third Cholesky pivot is
+        # exactly 0, and the diagonal shift of 1e-12 tr(C) / l makes it positive
+        x = np.arange(4.0)
+        B = np.column_stack([np.ones(4), x, np.ones(4)])
+        Y = np.array([0.5, 1.5, 1.0, 3.0])
+        factors = []
+        _counting(monkeypatch, "cho_factor", factors)
+        theta = solve_weights(B, Y, np.zeros((3, 3)), 4)
+        assert len(factors) == 2
+        line = np.polyfit(x, Y, 1)[::-1]
+        assert np.allclose(B @ theta, line[0] + line[1] * x, rtol=0.0, atol=1e-9)
 
 
 class TestRepresenter:

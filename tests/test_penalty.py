@@ -3,106 +3,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiersparse import (
-    PenaltySpec,
-    difference_matrix,
-    penalty_components,
-    penalty_operator,
-    permutation_operator,
-)
+from hiersparse import PenaltySpec, penalty_components, penalty_operator
 from hiersparse.penalty import component_action
-from helpers import penalty_oracle, sort_permutation_oracle
+from helpers import difference_matrix_oracle, penalty_oracle, permutation_matrix_oracle
 
 
-class TestDifferenceMatrix:
-    def test_first_order_five(self):
-        expect = np.array(
-            [
-                [-1, 1, 0, 0, 0],
-                [0, -1, 1, 0, 0],
-                [0, 0, -1, 1, 0],
-                [0, 0, 0, -1, 1],
-            ],
-            dtype=float,
-        )
-        assert np.array_equal(difference_matrix(1, 5), expect)
-
-    def test_second_order_five(self):
-        expect = np.array(
-            [
-                [1, -2, 1, 0, 0],
-                [0, 1, -2, 1, 0],
-                [0, 0, 1, -2, 1],
-            ],
-            dtype=float,
-        )
-        assert np.array_equal(difference_matrix(2, 5), expect)
-
-    def test_smallest_case(self):
-        assert np.array_equal(difference_matrix(1, 2), np.array([[-1.0, 1.0]]))
-
-    def test_degenerate_sizes_give_empty(self):
-        assert difference_matrix(2, 2).shape == (0, 2)
-        assert difference_matrix(1, 1).shape == (0, 1)
-
-    @given(q=st.sampled_from([1, 2]), m=st.integers(3, 25))
-    def test_rows_annihilate_constants(self, q, m):
-        D = difference_matrix(q, m)
-        assert np.allclose(D @ np.ones(m), 0.0, atol=1e-12)
-
-    def test_order_composition(self):
-        # q-th difference = first difference applied q times
-        D2 = difference_matrix(2, 7)
-        composed = difference_matrix(1, 6) @ difference_matrix(1, 7)
-        assert np.array_equal(D2, composed)
+def _dense_factor(q, pts, i):
+    """F = D^q Pe_i from the independent oracles."""
+    return difference_matrix_oracle(q, len(pts)) @ permutation_matrix_oracle(pts[:, i])
 
 
 class TestPermutationOperator:
+    """The permutation Pe_i by which ``component_action`` gathers coefficients."""
+
     def test_sorted_centers_identity(self):
         pts = np.array([[0.0], [1.0], [2.5]])
-        assert np.array_equal(permutation_operator(pts, 0), np.eye(3))
+        D = difference_matrix_oracle(1, 3)
+        assert np.array_equal(component_action(1, pts, 0)(np.eye(3)), D.T @ D)
 
     def test_four_center_plane_geometry(self):
         # x-order is 1,3,2,4 while y-order is already 1,2,3,4
         pts = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0], [3.0, 3.0]])
-        pe_x = permutation_operator(pts, 0)
-        pe_y = permutation_operator(pts, 1)
-        expect_x = np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
-        )
-        assert np.array_equal(pe_x, expect_x)
-        assert np.array_equal(pe_y, np.eye(4))
-        theta = np.array([10.0, 20.0, 30.0, 40.0])
-        assert np.array_equal(pe_x @ theta, np.array([10.0, 30.0, 20.0, 40.0]))
-
-    @given(seed=st.integers(0, 300))
-    @settings(max_examples=30)
-    def test_matches_comparison_sort_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((8, 2))
-        for dim in (0, 1):
-            pe = permutation_operator(pts, dim)
-            reordered = pe @ pts[:, dim]
-            oracle = [pts[i, dim] for i in sort_permutation_oracle(pts[:, dim])]
-            assert reordered.tolist() == oracle
-
-    def test_orthogonal_with_integer_entries(self):
-        rng = np.random.default_rng(3)
-        pts = rng.standard_normal((9, 3))
-        pe = permutation_operator(pts, 2)
-        assert np.array_equal(pe.T @ pe, np.eye(9))
-        assert set(np.unique(pe)) == {0.0, 1.0}
+        pe_x = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
+        F = difference_matrix_oracle(1, 4)
+        psi_x, psi_y = penalty_components((1, 1), pts)
+        assert np.array_equal(psi_x, (F @ pe_x).T @ (F @ pe_x))
+        assert np.array_equal(psi_y, F.T @ F)
 
     def test_stable_on_ties(self):
         pts = np.array([[1.0], [0.0], [1.0], [0.0]])
-        pe = permutation_operator(pts, 0)
         theta = np.array([1.0, 2.0, 3.0, 4.0])
-        # equal coordinates keep their basis order: 2,4 then 1,3
-        assert np.array_equal(pe @ theta, np.array([2.0, 4.0, 1.0, 3.0]))
+        # equal coordinates keep their basis order: 2,4 then 1,3, so F theta =
+        # (2, -3, 2) and F^T scatters (-2, 5, -5, 2) back to positions 2, 4, 1, 3
+        assert np.array_equal(component_action(1, pts, 0)(theta), [-5.0, -2.0, 2.0, 5.0])
+        assert np.array_equal(penalty_components((1,), pts)[0] @ theta, [-5.0, -2.0, 2.0, 5.0])
 
     def test_bad_dimension(self):
-        with pytest.raises(ValueError):
-            permutation_operator(np.zeros((3, 2)), 2)
+        with pytest.raises(ValueError, match="dimension 2 out of range"):
+            component_action(1, np.zeros((3, 2)), 2)
+        with pytest.raises(ValueError, match="dimension 2 out of range"):
+            penalty_components((1, 2, 1), np.zeros((3, 2)))
 
 
 class TestPenaltyOperator:
@@ -110,7 +50,7 @@ class TestPenaltyOperator:
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         spec = PenaltySpec(Q=(1,), Lambda=np.array([1.0]))
         P = penalty_operator(spec, pts).P
-        D = difference_matrix(1, 4)
+        D = difference_matrix_oracle(1, 4)
         assert np.array_equal(P, D.T @ D)
         assert np.allclose(np.diag(P), [1.0, 2.0, 2.0, 1.0])
 
@@ -139,7 +79,7 @@ class TestPenaltyOperator:
         pts = rng.integers(0, 4, size=(m, d)).astype(float)
         Q = tuple(int(q) for q in rng.integers(1, 3, size=d))
         for i, (q, psi) in enumerate(zip(Q, penalty_components(Q, pts))):
-            F = difference_matrix(q, m) @ permutation_operator(pts, i)
+            F = _dense_factor(q, pts, i)
             dense = F.T @ F
             dense = (dense + dense.T) / 2.0
             # array_equal counts -0.0 and +0.0 as equal; the factorizations do not
@@ -156,7 +96,7 @@ class TestPenaltyOperator:
         Q = tuple(int(q) for q in rng.integers(1, 3, size=d))
         Z = rng.standard_normal((m, 3))
         for i, q in enumerate(Q):
-            F = difference_matrix(q, m) @ permutation_operator(pts, i)
+            F = _dense_factor(q, pts, i)
             psi = F.T @ F
             act = component_action(q, pts, i)
             assert np.allclose(act(Z), psi @ Z, rtol=1e-12, atol=1e-12)
@@ -175,7 +115,7 @@ class TestPenaltyOperator:
             direct = theta @ P @ theta
             parts = 0.0
             for i, q in enumerate(Q):
-                F = difference_matrix(q, 8) @ permutation_operator(pts, i)
+                F = _dense_factor(q, pts, i)
                 parts += lam[i] * float(np.sum((F @ theta) ** 2))
             assert direct == pytest.approx(parts, rel=1e-10, abs=1e-12)
 

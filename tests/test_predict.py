@@ -378,13 +378,13 @@ class TestNoiseFitMemo:
         predict._NOISE_FIT_MEMO.clear()
         calls = _count_factorizations(monkeypatch)
         inversions = []
-        real_trtri = predict.dtrtri
+        real_trtri = network.dtrtri
 
         def counting_trtri(*args, **kwargs):
             inversions.append(1)
             return real_trtri(*args, **kwargs)
 
-        monkeypatch.setattr(predict, "dtrtri", counting_trtri)
+        monkeypatch.setattr(network, "dtrtri", counting_trtri)
         for m in (0, 1, 10, 100):
             predict_intervals(model, ds, _queries(2, m))
         predict_std(model, ds, _queries(2, 5))
