@@ -35,9 +35,8 @@ def main():
     for rec in model.history:
         mark = "  <-- convergence" if rec.s == model.t else ""
         qx, qy = ("-", "-") if rec.q is None else (str(rec.q[0]), str(rec.q[1]))
-        cost = "inf" if not np.isfinite(rec.cost) else f"{rec.cost:.6g}"
         print(f"{rec.s:>3} {rec.epsilon_s:>12.5g} {rec.l_s:>5} {rec.comp_s:>7.3f} "
-              f"{cost:>12} {qx:>4} {qy:>4}{mark}")
+              f"{rec.cost:>12.6g} {qx:>4} {qy:>4}{mark}")
 
     side = args.grid_side
     gx = np.linspace(-0.9 * w, 0.9 * w, side)

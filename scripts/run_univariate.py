@@ -33,9 +33,8 @@ def main():
         mark = "  <-- convergence" if rec.s == model.t else ""
         lam = "-" if rec.lam is None else f"{rec.lam[0]:.3g}"
         q = "-" if rec.q is None else str(rec.q[0])
-        cost = "inf" if not np.isfinite(rec.cost) else f"{rec.cost:.6g}"
         print(f"{rec.s:>3} {rec.epsilon_s:>12.5g} {rec.l_s:>5} {rec.comp_s:>7.3f} "
-              f"{cost:>12} {q:>3} {lam:>10}{mark}")
+              f"{rec.cost:>12.6g} {q:>3} {lam:>10}{mark}")
 
     grid = np.linspace(-500.0, 500.0, 1000)[:, None]
     truth = eval_true("schwefel1d", grid)
@@ -56,11 +55,7 @@ def main():
     write_csv(
         out / "cost_curve.csv",
         ["s", "epsilon_s", "l_s", "comp_s", "cost"],
-        [
-            [r.s, r.epsilon_s, r.l_s, r.comp_s,
-             "inf" if not np.isfinite(r.cost) else r.cost]
-            for r in model.history
-        ],
+        [[r.s, r.epsilon_s, r.l_s, r.comp_s, r.cost] for r in model.history],
     )
     write_csv(out / "selected_points.csv", ["x_1"], model.X_t)
     print(f"wrote {out}/prediction_band.csv, cost_curve.csv, selected_points.csv")

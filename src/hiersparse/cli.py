@@ -127,6 +127,13 @@ def _load_training(args):
     raise UsageError("an input is required: --data FILE or --synth FAMILY")
 
 
+def _read_model(path) -> SparseModel:
+    try:
+        return load_model(path)[0]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"{path} is not a readable model file: {exc!r}") from None
+
+
 def _report_rows(model: SparseModel):
     rows = []
     for rec in model.history:
@@ -136,7 +143,7 @@ def _report_rows(model: SparseModel):
                 rec.epsilon_s,
                 rec.l_s,
                 rec.comp_s,
-                "inf" if not np.isfinite(rec.cost) else rec.cost,
+                rec.cost,
                 "" if rec.q is None else ";".join(str(q) for q in rec.q),
                 "" if rec.lam is None else ";".join(repr(float(v)) for v in rec.lam),
                 1 if rec.s == model.t else 0,
@@ -175,17 +182,16 @@ def cmd_fit(args) -> int:
     print(f"fit: n={dataset.n} d={dataset.d} scales={len(model.history)}")
     for rec in model.history:
         marker = " <- convergence" if rec.s == model.t else ""
-        cost = "inf" if not np.isfinite(rec.cost) else f"{rec.cost:.6g}"
         print(
             f"  s={rec.s:<3d} eps={rec.epsilon_s:<12.6g} l_s={rec.l_s:<6d} "
-            f"comp={rec.comp_s:<8.4f} cost={cost}{marker}"
+            f"comp={rec.comp_s:<8.4f} cost={rec.cost:.6g}{marker}"
         )
     print(f"model written to {args.out}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    model, _, _ = load_model(args.model)
+    model = _read_model(args.model)
     if args.query and args.grid:
         raise UsageError("give either --query or --grid, not both")
     if args.query:
@@ -213,7 +219,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model, _, _ = load_model(args.model)
+    model = _read_model(args.model)
     if not model.history:
         raise FitError("model file has no scale history to report")
     if args.data:  # the band comes first, so bad input leaves no file behind
@@ -250,17 +256,6 @@ def build_parser() -> _Parser:
     in_unit = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
     scale = _checked(float, lambda v: 0 < v < np.inf, "'auto' or a finite number > 0")
     nonnegative = _checked(int, lambda v: v >= 0, "an integer >= 0")
-    def add_common_fit(p):
-        p.add_argument("--T", type=lambda text: text if text == "auto" else scale(text),
-                       default="auto", help="base squared-distance scale or 'auto'")
-        p.add_argument("--M", default=2.0, help="scale divisor (> 1)",
-                       type=_checked(float, lambda v: 1 < v < np.inf, "a finite number > 1"))
-        p.add_argument("--phi", type=in_unit,
-                       default=1e-10, help="rank precision in (0,1)")
-        p.add_argument("--k-extra", dest="k_extra", default=8, type=nonnegative,
-                       help="sketch oversampling rows")
-        p.add_argument("--max-scales", dest="max_scales", default=25,
-                       type=_checked(int, lambda v: v >= 1, "an integer >= 1"))
 
     p_fit = sub.add_parser("fit", help="fit a sparse model to data")
     p_fit.add_argument("--data", help="training CSV (features..., target)")
@@ -274,7 +269,15 @@ def build_parser() -> _Parser:
                        help="synthetic noise standard deviation")
     p_fit.add_argument("--range", help="synthetic bounds lo:hi[,lo:hi]")
     p_fit.add_argument("--seed", type=nonnegative, default=0)
-    add_common_fit(p_fit)
+    p_fit.add_argument("--T", type=lambda text: text if text == "auto" else scale(text),
+                       default="auto", help="base squared-distance scale or 'auto'")
+    p_fit.add_argument("--M", default=2.0, help="scale divisor (> 1)",
+                       type=_checked(float, lambda v: 1 < v < np.inf, "a finite number > 1"))
+    p_fit.add_argument("--phi", type=in_unit, default=1e-10, help="rank precision in (0,1)")
+    p_fit.add_argument("--k-extra", dest="k_extra", default=8, type=nonnegative,
+                       help="sketch oversampling rows")
+    p_fit.add_argument("--max-scales", dest="max_scales", default=25,
+                       type=_checked(int, lambda v: v >= 1, "an integer >= 1"))
     p_fit.add_argument("--out", required=True, help="model JSON path")
     p_fit.add_argument("--report", help="per-scale report CSV path")
     p_fit.add_argument("--export-data", dest="export_data",
@@ -308,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CSVParseError, FileNotFoundError) as exc:
+    except (UsageError, CSVParseError, OSError) as exc:
         print(f"hiersparse: error: {exc}", file=sys.stderr)
         return 1
     except (FitError, IllConditionedScaleError, DegenerateDofError, ValueError) as exc:

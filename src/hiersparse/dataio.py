@@ -142,7 +142,7 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
     ``rows`` has one entry per CSV row.  A 2-D numpy array is formatted one
     column at a time (``repr`` of each Python float, lazily zipped into rows),
     which gives the same text as formatting it cell by cell; a sequence of
-    row lists may mix ints, floats and ready-made strings such as ``"inf"``.
+    row lists may mix ints, floats and ready-made strings such as ``"1;2"``.
     """
     head = []
     if meta:

@@ -99,9 +99,7 @@ def fit(
 
     history: list[ScaleRecord] = []
     best, best_cost = None, np.inf
-    s = 0
-    l_s = 0
-    while l_s < n_distinct and s < max_scales:
+    for s in range(max_scales):
         eps = length_scale(T_val, M, s)
         G = gram(X, eps)
         l_s = numerical_rank(G, phi)
@@ -130,7 +128,8 @@ def fit(
                 n_train=n,
                 history=history,
             )
-        s += 1
+        if l_s >= n_distinct:
+            break
 
     if best is None:
         raise FitError("no scale produced a usable fit")

@@ -325,3 +325,32 @@ class TestReport:
                     "--data", str(train2d), "--has-header")
         assert code == 2
         assert not out_dir.exists()
+
+
+class TestMalformedInput:
+    # a file that cannot be read as the input it stands for is an input error
+    @pytest.mark.parametrize(
+        "text", ["not json", '{"schema_version": 9}', '{"schema_version": 2}', "[1, 2]"]
+    )
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_unreadable_model_is_usage_error(self, tmp_path, capsys, text, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        outputs = {"predict": ["--grid", "0:1:5", "--out", str(out)],
+                   "report": ["--out-dir", str(out)]}[command]
+        code = _run(command, "--model", str(bad), *outputs)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(bad) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_directory_as_data_is_usage_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        out = tmp_path / "model.json"
+        code = _run("fit", "--data", str(data_dir), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(data_dir) in err and "Traceback" not in err
+        assert not out.exists()

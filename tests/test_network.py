@@ -235,6 +235,23 @@ class TestOptimize:
         assert len(by_hand) == 4
         assert fs.q in [c for c, _ in by_hand]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equal_costs_keep_the_first_order_combination(self, monkeypatch, d):
+        monkeypatch.setattr(network, "_search", lambda *args: (np.full(d, 0.1), 1.0))
+        prob = make_basis_problem(40, d, seed=3, s=1)
+        fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
+        assert fs.q == (1,) * d
+        assert fs.cost == 1.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_decreasing_costs_pick_the_last_order_combination(self, monkeypatch, d):
+        costs = iter(np.arange(2.0**d, 0.0, -1.0))
+        monkeypatch.setattr(network, "_search", lambda *args: (np.full(d, 0.1), next(costs)))
+        prob = make_basis_problem(40, d, seed=3, s=1)
+        fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
+        assert fs.q == (2,) * d
+        assert fs.cost == 1.0
+
     def test_fitted_scale_consistency(self):
         prob = make_basis_problem(30, 1, seed=12)
         fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
