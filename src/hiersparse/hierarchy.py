@@ -77,22 +77,22 @@ def fit(
     once l_s reaches the number of distinct points in X (the Gram rank cannot
     exceed it) or ``max_scales`` scales have been fit.  A scale whose
     optimization degenerates is recorded with infinite cost and skipped.
-    Out-of-range settings raise a ``ValueError`` before any Gram matrix is built.
+    Out-of-range or mistyped settings (a bool, or a non-integer ``max_scales``,
+    ``seed`` or ``k_extra``) raise a ``ValueError`` before any Gram matrix is built.
     The sketch's Gaussian matrix meets the rows in dataset order, so permuting
     the rows can change the selected points, and with them the fit.
     """
     X, Y, n = dataset.X, dataset.Y, dataset.n
     if n < 2:
         raise ValueError("need at least two points to fit")
-    if max_scales < 1:
-        raise ValueError(f"max_scales must be at least 1, got {max_scales}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    if k_extra < 0:
-        raise ValueError(f"k_extra must be at least 0, got {k_extra}")
+    for name, value, low in (("max_scales", max_scales, 1), ("seed", seed, 0),
+                             ("k_extra", k_extra, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     if not 0 < phi < 1:
         raise ValueError(f"phi must lie in (0, 1), got {phi}")
-    if not (T == "auto" if isinstance(T, str) else isinstance(T, numbers.Real)):
+    if isinstance(T, bool) or not (T == "auto" if isinstance(T, str)
+                                   else isinstance(T, numbers.Real)):
         raise ValueError(f"T must be 'auto' or a number, got {T!r}")
     T_val = diameter_T(X) if isinstance(T, str) else float(T)
     n_distinct = np.unique(X, axis=0).shape[0]
@@ -106,6 +106,7 @@ def fit(
         scale_seed = seed + s
         pivot = pivoted_qr_permutation(sketch(G, l_s, k_extra, scale_seed))
         basis = select_basis(G, pivot, l_s)
+        del G  # the basis holds copies of its columns; the search never reads G
         centers = X[basis.selected]
         comp = compression_ratio(l_s, n)
         try:

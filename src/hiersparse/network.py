@@ -189,7 +189,7 @@ def gcv(B: np.ndarray, Y: np.ndarray, P: np.ndarray, n: int) -> float:
 
 
 class _PencilLine:
-    """GCV along one penalty direction Psi.
+    """GCV along the penalty direction Psi, the sum of the components ``psis``.
 
     The line of systems C + n*lam*Psi is whitened against its lam_floor
     member S = L L^T (raises ``IllConditionedScaleError`` when S cannot be
@@ -205,12 +205,14 @@ class _PencilLine:
     the box floor.
     """
 
-    def __init__(self, C, B, Y, psi, n, lam_floor):
+    def __init__(self, C, B, Y, psis, n, lam_floor):
         self.n = n
         self.Y = Y
         self.lam_floor = lam_floor
+        psi = sum(psis)
         L = _PenalizedSystem(B, psi, n * lam_floor, C).factor[0]
         K, info = dsygst(n * psi, L, itype=1, lower=1)
+        del psi  # free the sum before eigh, the line's largest working set
         if info != 0:
             raise LinAlgError(f"dsygst: illegal value in argument {-info}")
         gamma, W = np.linalg.eigh(K, UPLO="L")  # xSYGST fills the lower triangle only
@@ -359,6 +361,7 @@ def _newton(surface: _GCVSurface, rho: np.ndarray, tol: float):
     x = surface.at(rho)
     for _ in range(NEWTON_MAX_STEPS if np.isfinite(x.cost) else 0):
         g, H = surface.derivatives(x)
+        del x.system  # only x.rho and x.cost are read from here on
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
             break
         free = ~(((x.rho <= lo) & (g > 0.0)) | ((x.rho >= hi) & (g < 0.0)))
@@ -395,13 +398,14 @@ def _floor_points(surface: _GCVSurface, rho: np.ndarray) -> list:
     return points
 
 
-def _search(B, Y, C, R, centers, n, q, psis) -> tuple[np.ndarray, float]:
-    """``optimize_lambda`` for orders ``q`` with C = B^T B, for d >= 2 the
-    thin-QR factor R of B, and the components ``psis`` already formed."""
+def _search(B, Y, C, R, centers, n, q) -> tuple[np.ndarray, float]:
+    """``optimize_lambda`` for orders ``q`` with C = B^T B and, for d >= 2,
+    the thin-QR factor R of B."""
     d = len(q)
+    psis = penalty_components(q, centers)
     grid = LOG_LAMBDA_SEEDS if d > 1 else LOG_LAMBDA_GRID
     try:
-        line = _PencilLine(C, B, Y, sum(psis), n, 10.0 ** grid[0])
+        line = _PencilLine(C, B, Y, psis, n, 10.0 ** grid[0])
     except IllConditionedScaleError:
         return 10.0 ** np.zeros(d), np.inf
     costs = [line.cost_at(10.0**g) for g in grid]
@@ -421,6 +425,7 @@ def _search(B, Y, C, R, centers, n, q, psis) -> tuple[np.ndarray, float]:
             point, best_cost = x_best, c_best
         return 10.0 ** np.asarray([point]), best_cost
 
+    del line  # the seed is chosen, and its n x l basis is read no more
     surface = _GCVSurface(B, Y, C, R, centers, n, q, psis)
     rho = np.full(d, grid[k])
     found = _floor_points(surface, rho)
@@ -471,30 +476,27 @@ def optimize_lambda(
     one the diagonal does not lead to can be missed.
     """
     B, Y, centers, C, R = _prepared(B, Y, centers)
-    return _search(B, Y, C, R, centers, n, q, penalty_components(q, centers))
+    return _search(B, Y, C, R, centers, n, q)
 
 
 def optimize_gcv(B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int) -> FittedScale:
     """Minimize GCV over Lambda > 0 and Q in {1,2}^d; ties keep the lexically first Q.
 
-    B^T B, for d >= 2 the thin-QR factor R of B, and the components Psi_i
-    of each order are formed once and shared by every combination's search.
+    B^T B and, for d >= 2, the thin-QR factor R of B are shared by every
+    combination's search; each search builds and holds only its own
+    components Psi_i, and the winner's are built again for the weights.
     """
     B, Y, centers, C, R = _prepared(B, Y, centers)
-    d = centers.shape[1]
-    psis_by_q = {q: penalty_components([q] * d, centers) for q in (1, 2)}
-
-    candidates = []
-    for q_combo in itertools.product((1, 2), repeat=d):
-        psis = [psis_by_q[qi][i] for i, qi in enumerate(q_combo)]
-        candidates.append((*_search(B, Y, C, R, centers, n, q_combo, psis), q_combo, psis))
-    lam, cost, q_combo, psis = min(candidates, key=lambda c: c[1])
+    candidates = [(*_search(B, Y, C, R, centers, n, q), q)
+                  for q in itertools.product((1, 2), repeat=centers.shape[1])]
+    lam, cost, q = min(candidates, key=lambda c: c[1])
     if not np.isfinite(cost):
         raise ScaleUnfitError("every penalty candidate was degenerate at this scale")
 
     # the weights solve the winner's system exactly as ``solve_weights`` does
-    theta = _PenalizedSystem(B, weighted_penalty(lam, psis), n, C).solve(B.T @ Y)
-    return FittedScale(theta=theta, lam=lam, q=q_combo, cost=cost)
+    P = weighted_penalty(lam, penalty_components(q, centers))
+    theta = _PenalizedSystem(B, P, n, C).solve(B.T @ Y)
+    return FittedScale(theta=theta, lam=lam, q=q, cost=cost)
 
 
 def representer(

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -137,6 +138,9 @@ class TestFitLoop:
         (dict(seed=-1), "seed"), (dict(seed=1.5), "seed"), (dict(k_extra=-1), "k_extra"),
         (dict(phi=0.0), "phi"), (dict(phi=1.0), "phi"), (dict(phi=float("nan")), "phi"),
         (dict(T="foo"), "T must be 'auto'"), (dict(T=None), "T must be 'auto'"),
+        (dict(k_extra=2.5), "k_extra"), (dict(max_scales=2.5), "max_scales"),
+        (dict(T=True), "T must be 'auto'"), (dict(seed=True), "seed"),
+        (dict(k_extra=True), "k_extra"), (dict(max_scales=True), "max_scales"),
     ])
     def test_bad_settings_are_refused_before_any_gram(self, monkeypatch, bad, name):
         def never(*args, **kwargs):
@@ -145,6 +149,26 @@ class TestFitLoop:
         monkeypatch.setattr(hierarchy_mod, "gram", never)
         with pytest.raises(ValueError, match=name):
             fit(_small_dataset(seed=12), **bad)
+
+    def test_each_gram_is_freed_before_its_search(self, monkeypatch):
+        # the basis copies the Gram columns it keeps, so no n x n matrix is
+        # alive while the scale's weights are searched
+        grams = []
+        real_gram, real_optimize = hierarchy_mod.gram, hierarchy_mod.optimize_gcv
+
+        def gram(*args, **kwargs):
+            G = real_gram(*args, **kwargs)
+            grams.append(weakref.ref(G))
+            return G
+
+        def optimize_gcv(*args, **kwargs):
+            assert grams[-1]() is None
+            return real_optimize(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy_mod, "gram", gram)
+        monkeypatch.setattr(hierarchy_mod, "optimize_gcv", optimize_gcv)
+        model = fit(_small_dataset(seed=13), seed=13)
+        assert len(grams) == len(model.history) > 1
 
     def test_parameter_validation(self):
         ds = _small_dataset(seed=12)

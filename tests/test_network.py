@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,24 @@ class TestOptimize:
         fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
         P = penalty_operator(PenaltySpec(fs.q, fs.lam), prob["centers"]).P
         assert np.array_equal(fs.theta, solve_weights(prob["B"], prob["Y"], P, n))
+
+    def test_working_set_holds_one_order_combination(self):
+        # tracemalloc peak of one d = 2 search at l = n = 200, where each
+        # l x l matrix takes 320 kB: 3.86e6 bytes measured with each order
+        # combination's components built when its search starts and the seed
+        # line freed once it has chosen the seed (4.83e6 with all four
+        # components and the line held); the bound is 3.5% above
+        prob = make_basis_problem(200, 2, seed=0, s=5)
+        args = prob["B"], prob["Y"], prob["centers"], prob["n"]
+        optimize_gcv(*args)  # first calls may allocate caches; keep them out
+        tracemalloc.start()
+        try:
+            optimize_gcv(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob["l"] == 200
+        assert peak < 4.0e6
 
     def test_three_dimensional_coordinate_descent_path(self):
         prob = make_basis_problem(25, 3, seed=13, s=1, noise=0.2)
