@@ -24,7 +24,6 @@ from hiersparse import (
     network,
     numerical_rank,
     optimize_lambda,
-    penalty_components,
     pivoted_qr_permutation,
     select_basis,
     sketch,
@@ -61,8 +60,7 @@ def main():
         C, R = B.T @ B, np.linalg.qr(B, mode="r")
         for q in itertools.product((1, 2), repeat=2):
             _, cost = optimize_lambda(B, Y, centers, n, q)
-            surface = network._GCVSurface(B, Y, C, R, centers, n, q,
-                                          penalty_components(q, centers))
+            surface = network._GCVSurface(B, Y, C, R, centers, n, q)
             grid_min = min(surface.at(np.array(r)).cost
                            for r in itertools.product(grid, repeat=2))
             total += 1

@@ -17,7 +17,8 @@ thin QR of B (Wood 2004, JASA 99:673, section 3), so the influence traces and
 the Newton search's derivatives work with l x l matrices, not l x n ones.
 
 Every Cholesky factor of a penalized system, and its inverse, comes from
-``_PenalizedSystem``, here and in ``predict``.
+``_PenalizedSystem``, here and in ``predict``; the search gives it each
+penalty as its band (``penalty_band``), never as a dense matrix.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from scipy.linalg.lapack import dsygst, dtrtri
 
 from .errors import DegenerateGCVError, IllConditionedScaleError, ScaleUnfitError
 from .kernel import kernel_matrix
-from .penalty import component_action, penalty_components, weighted_penalty
+from .penalty import component_action, penalty_band, weighted_penalty
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -82,18 +83,33 @@ class RepresenterOracle:
     a: float
 
 
-def _factor(S: np.ndarray, jitter: float):
-    """Cholesky of an SPD system; one jittered retry before giving up."""
+def _factor(build, jitter: float):
+    """Cholesky of the SPD system ``build()`` returns, in place where its
+    layout allows; one jittered retry, on a fresh build, before giving up."""
     try:
-        return cho_factor(S, lower=True)
+        return cho_factor(build(), lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         pass
     try:
-        return cho_factor(S + jitter * np.eye(S.shape[0]), lower=True)
+        S = build()
+        return cho_factor(S + jitter * np.eye(S.shape[0]), lower=True, overwrite_a=True,
+                          check_finite=False)
     except LinAlgError as exc:
         raise IllConditionedScaleError(
             "penalized normal equations singular to working precision"
         ) from exc
+
+
+def _assembled(C: np.ndarray, P, w: float) -> np.ndarray:
+    """C + w P, checked finite (a band's C once per search, by ``_prepared``).
+    A band writes C[index] + w p over C + 0.0, the dense sum's operations, in
+    a buffer it owns; its F-ordered view, factored in place, is S bit for bit."""
+    if not isinstance(P, tuple):
+        return np.asarray_chkfinite(C + w * P)
+    index, p = P
+    S = np.add(C, 0.0, order="C")
+    S.ravel()[index] = np.asarray_chkfinite(np.take(C, index) + w * p)
+    return S.T
 
 
 def _lower_solve(L: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -115,20 +131,23 @@ class _PenalizedSystem:
     """The penalized system S = C + w P of basis B, factored once.
 
     C = B^T B unless the caller passes it, and w = n except on a pencil
-    line's anchor.  S = L L^T by ``_factor`` (one jittered retry; raises
-    ``IllConditionedScaleError``).  With R the min(n, l) x l factor of a thin
-    QR of B (R^T R = B^T B; formed on the first trace read unless the caller
-    passes it) and V = L^{-1} R^T, an l x min(n, l) matrix, U = B S^{-1} B^T
+    line's anchor.  P is dense, or a band pair (index, p): P's values p at
+    the sorted flat indices ``index``.  ``_assembled`` forms S; S = L L^T by
+    ``_factor`` (one jittered retry; raises ``IllConditionedScaleError``).
+    With R the min(n, l) x l factor of a thin QR of B (R^T R = B^T B; formed
+    on the first trace read unless the caller passes it) and
+    V = L^{-1} R^T, an l x min(n, l) matrix, U = B S^{-1} B^T
     has the nonzero spectrum of V^T V, so tr U = ||V||^2 and
     tr U U^T = ||V V^T||^2.  V, the traces and L^{-1} (xTRTRI) are formed
     only when first read.
     """
 
-    def __init__(self, B: np.ndarray, P: np.ndarray, w: float, C: np.ndarray | None = None,
+    def __init__(self, B: np.ndarray, P, w: float, C: np.ndarray | None = None,
                  R: np.ndarray | None = None):
         self.B, self.R = B, R
         C = B.T @ B if C is None else C
-        self.factor = _factor(C + w * P, 1e-12 * float(np.trace(C)) / C.shape[0])
+        self.factor = _factor(lambda: _assembled(C, P, w),
+                              1e-12 * float(np.trace(C)) / C.shape[0])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self.factor, rhs, check_finite=False)
@@ -189,12 +208,14 @@ def gcv(B: np.ndarray, Y: np.ndarray, P: np.ndarray, n: int) -> float:
 
 
 class _PencilLine:
-    """GCV along the penalty direction Psi, the sum of the components ``psis``.
+    """GCV along the penalty direction Psi = Psi_1 + ... + Psi_d, from their
+    ``penalty_band`` pair ``band``.
 
     The line of systems C + n*lam*Psi is whitened against its lam_floor
     member S = L L^T (raises ``IllConditionedScaleError`` when S cannot be
     factored): LAPACK's xSYGST reduces n*Psi to
-    K = L^{-1} (n Psi) L^{-T} in one blocked pass, ``eigh`` diagonalizes
+    K = L^{-1} (n Psi) L^{-T} in one blocked pass, in place in the buffer
+    that holds n Psi, ``eigh`` diagonalizes
     K = W diag(gamma) W^T, and one triangular solve back-transforms the
     eigenvectors to V = L^{-T} W, so Btilde = B V.  Every lambda evaluation
     is then O(n l): tr U = sum_j ||Btilde_j||^2 / (1 + (lam - floor) gamma_j)
@@ -205,19 +226,23 @@ class _PencilLine:
     the box floor.
     """
 
-    def __init__(self, C, B, Y, psis, n, lam_floor):
+    def __init__(self, C, B, Y, band, n, lam_floor):
         self.n = n
         self.Y = Y
         self.lam_floor = lam_floor
-        psi = sum(psis)
-        L = _PenalizedSystem(B, psi, n * lam_floor, C).factor[0]
-        K, info = dsygst(n * psi, L, itype=1, lower=1)
-        del psi  # free the sum before eigh, the line's largest working set
+        index, values = band
+        psi = sum(values)
+        L = _PenalizedSystem(B, (index, psi), n * lam_floor, C).factor[0]
+        K = np.zeros(C.shape)
+        K.ravel()[index] = n * psi
+        K, info = dsygst(K.T, L, itype=1, lower=1, overwrite_a=1)  # n Psi is symmetric
         if info != 0:
             raise LinAlgError(f"dsygst: illegal value in argument {-info}")
         gamma, W = np.linalg.eigh(K, UPLO="L")  # xSYGST fills the lower triangle only
+        del K
         self.gamma = np.maximum(gamma, 0.0)
         V = solve_triangular(L, W, trans="T", lower=True, check_finite=False)
+        del L, W  # before B V, the line's n x l basis
         self.B_tilde = B @ V
         self.zc = self.B_tilde.T @ Y
         self.cdiag = np.sum(self.B_tilde**2, axis=0)  # diag of whitened B^T B
@@ -253,7 +278,8 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
 class _GCVSurface:
     """GCV as a function of log10 weights rho for fixed orders ``q``.
 
-    ``at(rho)`` sums P and forms S = C + n P as ``gcv`` does, so a point's
+    ``at(rho)`` forms S = C + n P from the band of orders ``q`` on
+    ``centers``, bit for bit as ``gcv`` does from the dense P, so a point's
     ``cost`` is that score at Lambda = 10**rho (+inf when S cannot be
     factored or tr(I - U) vanishes).  ``derivatives(point)`` gives its
     gradient and Hessian in rho.  B enters the traces only through
@@ -272,8 +298,9 @@ class _GCVSurface:
     products with an l x l matrix and no further factorization.
     """
 
-    def __init__(self, B, Y, C, R, centers, n, q, psis):
-        self.B, self.Y, self.C, self.R, self.n, self.psis = B, Y, C, R, n, psis
+    def __init__(self, B, Y, C, R, centers, n, q):
+        self.B, self.Y, self.C, self.R, self.n = B, Y, C, R, n
+        self.index, self.values = penalty_band(q, centers)
         self.BtY = B.T @ Y
         self.actions = [component_action(qi, centers, i) for i, qi in enumerate(q)]
 
@@ -282,7 +309,7 @@ class _GCVSurface:
         point = SimpleNamespace(rho=rho, lam=lam, cost=np.inf)
         try:
             point.system = _PenalizedSystem(
-                self.B, weighted_penalty(lam, self.psis), n, self.C, self.R
+                self.B, (self.index, weighted_penalty(lam, self.values)), n, self.C, self.R
             )
         except IllConditionedScaleError:
             return point
@@ -296,12 +323,14 @@ class _GCVSurface:
 
     def derivatives(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian of the cost in log10 Lambda at ``point``."""
-        n, d, system = self.n, len(self.psis), point.system
-        A = dtrmm(1.0, system.Linv, system.V, lower=1, trans_a=1)
+        n, d, system = self.n, len(self.actions), point.system
+        A = system.V
+        del system.V  # A takes V's memory; V is formed again if read
+        A = dtrmm(1.0, system.Linv, A, lower=1, trans_a=1, overwrite_b=1)
         scale = n * point.lam
         dtau, Z = np.empty(d), []
         for i, (s_i, act) in enumerate(zip(scale, self.actions)):
-            PA = np.asfortranarray(act(A))
+            PA = act(A)  # F-ordered, as A is
             dtau[i] = -s_i * np.einsum("ij,ij->", A, PA)
             Z.append(dtrmm(s_i, system.Linv, PA, lower=1, overwrite_b=1))
         del A, PA
@@ -398,24 +427,30 @@ def _floor_points(surface: _GCVSurface, rho: np.ndarray) -> list:
     return points
 
 
-def _search(B, Y, C, R, centers, n, q) -> tuple[np.ndarray, float]:
-    """``optimize_lambda`` for orders ``q`` with C = B^T B and, for d >= 2,
-    the thin-QR factor R of B."""
-    d = len(q)
-    psis = penalty_components(q, centers)
-    grid = LOG_LAMBDA_SEEDS if d > 1 else LOG_LAMBDA_GRID
+def _grid_line(B, Y, C, centers, n, q, grid):
+    """(line, g, cost): the pencil line along Psi_1 + ... + Psi_d anchored at
+    10**grid[0], and its lowest point g on the log10 ``grid``; (None, None,
+    inf) when the anchor cannot be factored or every cost is +inf."""
     try:
-        line = _PencilLine(C, B, Y, psis, n, 10.0 ** grid[0])
+        line = _PencilLine(C, B, Y, penalty_band(q, centers), n, 10.0 ** grid[0])
     except IllConditionedScaleError:
-        return 10.0 ** np.zeros(d), np.inf
+        return None, None, np.inf
     costs = [line.cost_at(10.0**g) for g in grid]
     k = int(np.argmin(costs))
-    if not np.isfinite(costs[k]):
-        return 10.0 ** np.zeros(d), np.inf
+    return (line, grid[k], costs[k]) if np.isfinite(costs[k]) else (None, None, np.inf)
 
+
+def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray, float]:
+    """``optimize_lambda`` for orders ``q`` with C = B^T B and, for d >= 2,
+    the thin-QR factor R of B and the log10 ``seed`` on the diagonal from
+    ``_searches`` (None when the seed line was degenerate)."""
+    d = len(q)
+    unfit = 10.0 ** np.zeros(d), np.inf
     if d == 1:  # Newton on ``_GCVSurface`` gave the same t and Q_t, 1.9x slower
-        point, best_cost = grid[k], costs[k]
-        step = grid[1] - grid[0]
+        line, point, best_cost = _grid_line(B, Y, C, centers, n, q, LOG_LAMBDA_GRID)
+        if line is None:
+            return unfit
+        step = LOG_LAMBDA_GRID[1] - LOG_LAMBDA_GRID[0]
         for _ in range(REFINE_PASSES):
             x_best, c_best = _golden_section(
                 lambda x: line.cost_at(10.0**x), point - step, point + step, REFINE_TOL
@@ -425,9 +460,10 @@ def _search(B, Y, C, R, centers, n, q) -> tuple[np.ndarray, float]:
             point, best_cost = x_best, c_best
         return 10.0 ** np.asarray([point]), best_cost
 
-    del line  # the seed is chosen, and its n x l basis is read no more
-    surface = _GCVSurface(B, Y, C, R, centers, n, q, psis)
-    rho = np.full(d, grid[k])
+    if seed is None:
+        return unfit
+    surface = _GCVSurface(B, Y, C, R, centers, n, q)
+    rho = np.full(d, seed)
     found = _floor_points(surface, rho)
     for _ in range(REFINE_PASSES):
         end = _newton(surface, rho, REFINE_TOL)
@@ -436,18 +472,27 @@ def _search(B, Y, C, R, centers, n, q) -> tuple[np.ndarray, float]:
         if not cost < end.cost:
             break
     if not np.isfinite(cost):
-        return 10.0 ** np.zeros(d), np.inf
+        return unfit
     return 10.0**rho, cost
 
 
+def _searches(B, Y, C, centers, n, combos) -> list:
+    """``_search`` of each order combination in ``combos``.  For d >= 2 every
+    seed line runs, and is freed, before the thin-QR factor R of B is formed
+    for the Newton descents, so R is alive in no line's ``eigh``."""
+    if centers.shape[1] == 1:
+        return [_search(B, Y, C, None, centers, n, q) for q in combos]
+    seeds = [_grid_line(B, Y, C, centers, n, q, LOG_LAMBDA_SEEDS)[1] for q in combos]
+    R = np.linalg.qr(B, mode="r")
+    return [_search(B, Y, C, R, centers, n, q, seed) for q, seed in zip(combos, seeds)]
+
+
 def _prepared(B, Y, centers):
-    """(B, Y, centers, C, R) as float arrays, with C = B^T B and, for d >= 2,
-    R the thin-QR factor of B (None for d = 1)."""
+    """(B, Y, centers, C) as float arrays, with C = B^T B checked finite."""
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    R = np.linalg.qr(B, mode="r") if centers.shape[1] > 1 else None
-    return B, Y, centers, B.T @ B, R
+    return B, Y, centers, np.asarray_chkfinite(B.T @ B)
 
 
 def optimize_lambda(
@@ -473,29 +518,35 @@ def optimize_lambda(
     tried with one weight at a time at the box floor; the lowest such point,
     if it beats the descent, starts the next one, up to ``REFINE_PASSES``
     descents in all.  The search is local: GCV can have several basins, and
-    one the diagonal does not lead to can be missed.
+    one the diagonal does not lead to can be missed.  Orders ``q`` other
+    than one of {1, 2} per dimension raise ``ValueError`` before any factoring.
     """
-    B, Y, centers, C, R = _prepared(B, Y, centers)
-    return _search(B, Y, C, R, centers, n, q)
+    B, Y, centers, C = _prepared(B, Y, centers)
+    d = centers.shape[1]
+    if len(q) != d or any(v not in (1, 2) for v in q):
+        raise ValueError(f"penalty orders q={q!r} must be one of 1 or 2 for each of "
+                         f"the d={d} dimensions")
+    return _searches(B, Y, C, centers, n, [tuple(int(v) for v in q)])[0]
 
 
 def optimize_gcv(B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int) -> FittedScale:
     """Minimize GCV over Lambda > 0 and Q in {1,2}^d; ties keep the lexically first Q.
 
     B^T B and, for d >= 2, the thin-QR factor R of B are shared by every
-    combination's search; each search builds and holds only its own
-    components Psi_i, and the winner's are built again for the weights.
+    combination's search (``_searches``); each search holds only the band of
+    its own components Psi_i, and no dense Psi_i or P is formed.
     """
-    B, Y, centers, C, R = _prepared(B, Y, centers)
-    candidates = [(*_search(B, Y, C, R, centers, n, q), q)
-                  for q in itertools.product((1, 2), repeat=centers.shape[1])]
+    B, Y, centers, C = _prepared(B, Y, centers)
+    combos = list(itertools.product((1, 2), repeat=centers.shape[1]))
+    candidates = [(*found, q) for found, q in zip(_searches(B, Y, C, centers, n, combos), combos)]
     lam, cost, q = min(candidates, key=lambda c: c[1])
     if not np.isfinite(cost):
         raise ScaleUnfitError("every penalty candidate was degenerate at this scale")
 
-    # the weights solve the winner's system exactly as ``solve_weights`` does
-    P = weighted_penalty(lam, penalty_components(q, centers))
-    theta = _PenalizedSystem(B, P, n, C).solve(B.T @ Y)
+    # the weights solve the winner's system, from its band, bit for bit as
+    # ``solve_weights`` does from the dense P
+    index, values = penalty_band(q, centers)
+    theta = _PenalizedSystem(B, (index, weighted_penalty(lam, values)), n, C).solve(B.T @ Y)
     return FittedScale(theta=theta, lam=lam, q=q, cost=cost)
 
 

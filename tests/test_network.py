@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,8 @@ from hiersparse import (
     solve_weights,
 )
 from hiersparse.network import LOG_LAMBDA_BOUNDS
-from hiersparse.penalty import penalty_components
+from hiersparse import penalty
+from hiersparse.penalty import penalty_band, penalty_components, weighted_penalty
 from helpers import (
     gcv_oracle,
     make_basis_problem,
@@ -270,12 +272,41 @@ class TestOptimize:
         P = penalty_operator(PenaltySpec(fs.q, fs.lam), prob["centers"]).P
         assert np.array_equal(fs.theta, solve_weights(prob["B"], prob["Y"], P, n))
 
+    @pytest.mark.parametrize("d, q", [(2, (1,)), (2, (3, 1)), (2, (0, 1)), (1, (1.5,))])
+    def test_undefined_orders_are_refused_before_any_factorization(self, monkeypatch, d, q):
+        prob = make_basis_problem(60, d, seed=1, s=2)
+        factors = []
+        _counting(monkeypatch, "cho_factor", factors)
+        with pytest.raises(ValueError, match=re.escape(f"q={q!r}")):
+            optimize_lambda(prob["B"], prob["Y"], prob["centers"], prob["n"], q)
+        assert factors == []
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_search_forms_no_dense_component(self, monkeypatch, d):
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense penalty component was formed")
+
+        for module in (penalty, network):
+            for name in ("penalty_components", "penalty_operator"):
+                monkeypatch.setattr(module, name, dense, raising=False)
+        prob = make_basis_problem(60, d, seed=3, s=2)
+        fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
+        assert np.isfinite(fs.cost)
+
+    def test_nonfinite_basis_is_refused(self):
+        prob = make_basis_problem(40, 2, seed=3, s=1)
+        B = prob["B"].copy()
+        B[0, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            optimize_gcv(B, prob["Y"], prob["centers"], prob["n"])
+
     def test_working_set_holds_one_order_combination(self):
         # tracemalloc peak of one d = 2 search at l = n = 200, where each
-        # l x l matrix takes 320 kB: 3.86e6 bytes measured with each order
-        # combination's components built when its search starts and the seed
-        # line freed once it has chosen the seed (4.83e6 with all four
-        # components and the line held); the bound is 3.5% above
+        # l x l matrix takes 320 kB: 2.826e6 bytes measured with the penalty
+        # held as its band and each system assembled and factored in one
+        # buffer (3.86e6 with dense components, 4.83e6 with all four
+        # combinations' components and the seed line held); the bound is 3.5%
+        # above
         prob = make_basis_problem(200, 2, seed=0, s=5)
         args = prob["B"], prob["Y"], prob["centers"], prob["n"]
         optimize_gcv(*args)  # first calls may allocate caches; keep them out
@@ -286,7 +317,7 @@ class TestOptimize:
         finally:
             tracemalloc.stop()
         assert prob["l"] == 200
-        assert peak < 4.0e6
+        assert peak < 2.92e6
 
     def test_three_dimensional_coordinate_descent_path(self):
         prob = make_basis_problem(25, 3, seed=13, s=1, noise=0.2)
@@ -378,7 +409,7 @@ class TestNewtonSearch:
         for q in itertools.product((1, 2), repeat=d):
             f = lambda r: gcv(B, Y, penalty_operator(PenaltySpec(q, 10.0**r), centers).P, n)
             surface = network._GCVSurface(B, Y, B.T @ B, np.linalg.qr(B, mode="r"),
-                                          centers, n, q, penalty_components(q, centers))
+                                          centers, n, q)
             point = surface.at(rho)
             assert point.cost == f(rho)
             g, H = surface.derivatives(point)
@@ -456,7 +487,7 @@ class TestPenalizedSystemOwner:
         B, Y, centers = prob["B"], prob["Y"], prob["centers"]
         q = (1, 2)
         surface = network._GCVSurface(B, Y, B.T @ B, np.linalg.qr(B, mode="r"),
-                                      centers, 80, q, penalty_components(q, centers))
+                                      centers, 80, q)
         point = surface.at(np.array([-3.0, -2.0]))
         inversions = []
         _counting(monkeypatch, "dtrtri", inversions)
@@ -491,6 +522,55 @@ class TestPenalizedSystemOwner:
         assert len(factors) == 2
         line = np.polyfit(x, Y, 1)[::-1]
         assert np.allclose(B @ theta, line[0] + line[1] * x, rtol=0.0, atol=1e-9)
+
+    def test_banded_system_retries_on_a_fresh_build(self, monkeypatch):
+        # the first attempt factors its buffer in place, so the retry rebuilds it
+        x = np.arange(4.0)
+        B = np.column_stack([np.ones(4), x, np.ones(4)])
+        Y = np.array([0.5, 1.5, 1.0, 3.0])
+        factors = []
+        _counting(monkeypatch, "cho_factor", factors)
+        banded = network._PenalizedSystem(B, (np.array([0]), np.array([0.0])), 4)
+        assert len(factors) == 2
+        assert np.array_equal(banded.solve(B.T @ Y), solve_weights(B, Y, np.zeros((3, 3)), 4))
+
+
+class TestBandedSystem:
+    """A system assembled from the band is the dense one, bit for bit."""
+
+    @pytest.mark.parametrize("n, d, seed, s", [(60, 1, 3, 3), (80, 2, 4, 2), (40, 3, 5, 1)])
+    def test_assembled_system_is_the_dense_sum(self, monkeypatch, n, d, seed, s):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+        B, centers = prob["B"], prob["centers"]
+        C = B.T @ B
+        assert np.array_equal(C, C.T)  # so the factored view S^T is S
+        rng = np.random.default_rng(seed)
+        factored = []
+        real = network.cho_factor
+
+        def capture(a, *args, **kwargs):
+            factored.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(network, "cho_factor", capture)
+        for q in itertools.product((1, 2), repeat=d):
+            lam = 10.0 ** rng.uniform(*LOG_LAMBDA_BOUNDS, size=d)
+            index, values = penalty_band(q, centers)
+            banded = network._PenalizedSystem(B, (index, weighted_penalty(lam, values)), n, C)
+            S, P = factored[-1], weighted_penalty(lam, penalty_components(q, centers))
+            dense = C + n * P
+            assert np.array_equal(S, dense) and np.array_equal(S.T, dense)
+            assert np.array_equal(np.signbit(S), np.signbit(dense))
+            from_dense = network._PenalizedSystem(B, P, n, C)
+            assert np.array_equal(np.tril(banded.factor[0]), np.tril(from_dense.factor[0]))
+
+    def test_nonfinite_band_entries_are_refused(self):
+        prob = make_basis_problem(40, 1, seed=3, s=1)
+        index, values = penalty_band((1,), prob["centers"])
+        p = values[0].copy()
+        p[0] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            network._PenalizedSystem(prob["B"], (index, p), prob["n"])
 
 
 class TestRepresenter:

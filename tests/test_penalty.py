@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiersparse import PenaltySpec, penalty_components, penalty_operator
-from hiersparse.penalty import component_action
+from hiersparse.penalty import component_action, penalty_band
 from helpers import difference_matrix_oracle, penalty_oracle, permutation_matrix_oracle
 
 
@@ -43,6 +43,72 @@ class TestPermutationOperator:
             component_action(1, np.zeros((3, 2)), 2)
         with pytest.raises(ValueError, match="dimension 2 out of range"):
             penalty_components((1, 2, 1), np.zeros((3, 2)))
+
+
+def _same_bits(a, b):
+    """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
+    return (a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _action_reference(q, pts, i, Z):
+    """Psi_i Z as ``np.diff`` writes it: gather, q differences, q negated
+    zero-padded differences, scatter; the action must match its bits."""
+    order = np.argsort(pts[:, i], kind="stable")
+    if len(order) <= q:
+        return np.zeros_like(Z)
+    W = np.diff(Z[order], n=q, axis=0)
+    for _ in range(q):
+        W = -np.diff(W, axis=0, prepend=0.0, append=0.0)
+    out = np.empty_like(W)
+    out[order] = W
+    return out
+
+
+class TestBand:
+    """``penalty_band`` is the one source of the components, dense or banded."""
+
+    @given(m=st.one_of(st.integers(0, 12), st.integers(13, 60)), d=st.integers(1, 3),
+           tied=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scattered_band_is_the_component(self, m, d, tied, seed, data):
+        rng = np.random.default_rng(seed)
+        pts = (rng.integers(0, 3, size=(m, d)).astype(float) if tied
+               else rng.standard_normal((m, d)))
+        Q = tuple(data.draw(st.sampled_from((1, 2))) for _ in range(d))
+        index, values = penalty_band(Q, pts)
+        assert np.all(np.diff(index) > 0) and len(values) == d
+        assert all(v.dtype == float and v.shape == index.shape for v in values)
+        for i, (q, v, psi) in enumerate(zip(Q, values, penalty_components(Q, pts))):
+            dense = np.zeros((m, m))
+            dense.ravel()[index] = v
+            # the action on the identity, with its -0.0 entries made +0.0 as in F^T F
+            assert _same_bits(dense, component_action(q, pts, i)(np.eye(m)) + 0.0)
+            assert _same_bits(psi, dense)
+            if m > q:
+                F = _dense_factor(q, pts, i)
+                assert np.array_equal(psi, F.T @ F)
+            assert np.all(np.count_nonzero(psi, axis=1) <= 2 * q + 1)
+
+    def test_only_the_two_stencils(self):
+        with pytest.raises(ValueError, match="order 3"):
+            penalty_band((1, 3), np.zeros((4, 2)))
+
+    @given(m=st.integers(1, 30), q=st.sampled_from((1, 2)), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_action_keeps_its_bits_and_the_input_layout(self, m, q, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, size=(m, 1)).astype(float)
+        Z = rng.standard_normal((m, 4))
+        Z[rng.random(Z.shape) < 0.3] = 0.0
+        Z[rng.random(Z.shape) < 0.2] = -0.0
+        act = component_action(q, pts, 0)
+        by_rows, by_cols = act(Z), act(np.asfortranarray(Z))
+        assert by_rows.flags.c_contiguous and by_cols.flags.f_contiguous
+        assert _same_bits(by_rows, _action_reference(q, pts, 0, Z))
+        assert _same_bits(by_rows, by_cols)
+        for j in range(Z.shape[1]):
+            assert _same_bits(act(Z[:, j].copy()), by_rows[:, j])
 
 
 class TestPenaltyOperator:

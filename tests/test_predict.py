@@ -320,9 +320,9 @@ def _count_factorizations(monkeypatch):
     calls = []
     real = network._factor
 
-    def counting(S, jitter):
-        calls.append(S.shape)
-        return real(S, jitter)
+    def counting(build, jitter):
+        calls.append(build)
+        return real(build, jitter)
 
     monkeypatch.setattr(network, "_factor", counting)
     return calls
