@@ -130,26 +130,17 @@ def _load_training(args):
 def _read_model(path) -> SparseModel:
     try:
         return load_model(path)[0]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise UsageError(f"{path} is not a readable model file: {exc!r}") from None
 
 
 def _report_rows(model: SparseModel):
-    rows = []
-    for rec in model.history:
-        rows.append(
-            [
-                rec.s,
-                rec.epsilon_s,
-                rec.l_s,
-                rec.comp_s,
-                rec.cost,
-                "" if rec.q is None else ";".join(str(q) for q in rec.q),
-                "" if rec.lam is None else ";".join(repr(float(v)) for v in rec.lam),
-                1 if rec.s == model.t else 0,
-            ]
-        )
-    return rows
+    """Per scale: s, epsilon_s, l_s, comp_s, cost, q and lambda (';'-joined,
+    empty on an unfit scale) and convergent (1 on scale t, else 0)."""
+    return [[rec.s, rec.epsilon_s, rec.l_s, rec.comp_s, rec.cost,
+             ";".join(map(str, rec.q or ())),
+             ";".join(map(str, () if rec.lam is None else rec.lam.tolist())),
+             int(rec.s == model.t)] for rec in model.history]
 
 
 def _write_band(path, pred) -> None:
@@ -220,8 +211,6 @@ def cmd_predict(args) -> int:
 
 def cmd_report(args) -> int:
     model = _read_model(args.model)
-    if not model.history:
-        raise FitError("model file has no scale history to report")
     if args.data:  # the band comes first, so bad input leaves no file behind
         dataset = ingest_csv(args.data, has_header=args.has_header)
         X_m = _parse_grid(args.grid) if args.grid else _default_grid(model)

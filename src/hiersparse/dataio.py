@@ -1,10 +1,11 @@
 """CSV ingestion and output, and versioned JSON model persistence.
 
-All floats are written with ``repr`` (shortest round-trip form), so repeated
-runs with the same inputs produce byte-identical artifacts and a saved model
-reloads to exactly the fitted values.  Numeric tables are passed to
-``write_csv`` as 2-D arrays and formatted a column at a time; short tables
-that mix ints and strings are passed as lists of rows.
+One formatting rule: every number in a CSV cell or '#' line is ``str`` of a
+Python or numpy scalar, for a float its shortest round-trip repr.  So
+repeated runs with the same inputs produce byte-identical artifacts, and a
+saved model (whose JSON floats are repr too) reloads to exactly the fitted
+values.  Numeric tables go to ``write_csv`` as 2-D arrays, short mixed ones
+as lists of rows.
 """
 from __future__ import annotations
 
@@ -97,8 +98,29 @@ def model_to_dict(model: SparseModel) -> dict:
     }
 
 
+def _check_model(model: SparseModel) -> SparseModel:
+    """``model``, or ``ValueError`` naming the first rule of a model file it breaks
+    (Y_t, which no prediction reads, need not match X_t's length)."""
+    X, Lam = model.X_t, model.Lambda_t
+    m, d = X.shape if X.ndim == 2 else (0, 0)
+    finite = all(np.isfinite(a).all() for a in (X, model.Y_t, model.C_t, Lam))
+    for ok, rule in [
+        (m >= 1 and d >= 1, "X_t a nonempty m x d table"),
+        (model.C_t.shape == (m,), "C_t of length m"),
+        (Lam.shape == (d,) and len(model.Q_t) == d, "Lambda_t and Q_t of length d"),
+        (finite, "X_t, Y_t, C_t and Lambda_t finite"),
+        (np.all(Lam > 0) and set(model.Q_t) <= {1, 2}, "Lambda_t > 0 and Q_t in {1, 2}"),
+        (0.0 < model.epsilon_t < math.inf, "epsilon_t finite and > 0"),
+        (model.n_train >= m, "n_train >= m"),
+        (0 <= model.t < len(model.history), "t an index of history"),
+    ]:
+        if not ok:
+            raise ValueError(f"invalid model: needs {rule}")
+    return model
+
+
 def model_from_dict(d: dict) -> SparseModel:
-    return SparseModel(
+    return _check_model(SparseModel(
         t=int(d["t"]),
         epsilon_t=float(d["epsilon_t"]),
         X_t=np.asarray(d["X_t"], dtype=float),
@@ -108,7 +130,7 @@ def model_from_dict(d: dict) -> SparseModel:
         Q_t=tuple(int(v) for v in d["Q_t"]),
         n_train=int(d["n_train"]),
         history=[_record_from_dict(r) for r in d["history"]],
-    )
+    ))
 
 
 def save_model(path, model: SparseModel, parameters: dict, provenance: dict) -> None:
@@ -130,30 +152,17 @@ def load_model(path) -> tuple[SparseModel, dict, dict]:
     return model, payload.get("parameters", {}), payload.get("provenance", {})
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
-    """Plain CSV with repr-formatted numbers and optional '#' metadata lines.
+    """Plain CSV under optional '#' metadata lines, every cell and value ``str``.
 
-    ``rows`` has one entry per CSV row.  A 2-D numpy array is formatted one
-    column at a time (``repr`` of each Python float, lazily zipped into rows),
-    which gives the same text as formatting it cell by cell; a sequence of
-    row lists may mix ints, floats and ready-made strings such as ``"1;2"``.
+    ``rows`` is a 2-D array or equal-length row lists that may mix ints,
+    floats, numpy scalars and strings such as ``"1;2"``.  Columns (an array's
+    as Python floats) are formatted whole and zipped into rows: faster than
+    row by row, and the same text.
     """
-    head = []
-    if meta:
-        for key, val in meta.items():
-            text = _fmt(val) if isinstance(val, (int, float, np.floating, np.integer)) else str(val)
-            head.append(f"# {key}={text}")
-    head.append(",".join(header))
-    if isinstance(rows, np.ndarray):
-        body = map(",".join, zip(*(map(repr, col) for col in rows.T.tolist())))
-    else:
-        body = (",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
+    columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows)
+    head = [f"# {key}={val}" for key, val in (meta or {}).items()] + [",".join(header)]
+    body = map(",".join, zip(*(map(str, col) for col in columns)))
     with open(path, "w") as fh:
         fh.writelines(map("{}\n".format, chain(head, body)))
 

@@ -23,7 +23,7 @@ class FitError(RuntimeError):
 
 
 class DegenerateDofError(ArithmeticError):
-    """Residual degrees of freedom are not positive; intervals suppressed."""
+    """No noise variance: residual dof <= 0, or the RSS overflows; intervals suppressed."""
 
 
 class CSVParseError(ValueError):

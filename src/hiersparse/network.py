@@ -17,8 +17,8 @@ thin QR of B (Wood 2004, JASA 99:673, section 3), so the influence traces and
 the Newton search's derivatives work with l x l matrices, not l x n ones.
 
 Every Cholesky factor of a penalized system, and its inverse, comes from
-``_PenalizedSystem``, here and in ``predict``; the search gives it each
-penalty as its band (``penalty_band``), never as a dense matrix.
+``_PenalizedSystem``, here and in ``predict``; every run-time caller gives
+it the penalty as its band (``penalty_band``), never as a dense matrix.
 """
 from __future__ import annotations
 
@@ -198,12 +198,16 @@ def gcv(B: np.ndarray, Y: np.ndarray, P: np.ndarray, n: int) -> float:
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
     system = _PenalizedSystem(B, np.asarray(P, dtype=float), n)
-    denom = n - system.trace_u
+    return _gcv_score(n, system.trace_u, Y - B @ system.solve(B.T @ Y))
+
+
+def _gcv_score(n: int, trace_u: float, resid: np.ndarray) -> float:
+    """GCV = n ||resid||^2 / (n - tr U)^2; raises when tr(I - U) <= n * 1e-12."""
+    denom = n - trace_u
     if denom <= n * 1e-12:
         raise DegenerateGCVError(
             "tr(I - U) = 0: unpenalized full-rank interpolation has no GCV score"
         )
-    resid = Y - B @ system.solve(B.T @ Y)
     return n * float(resid @ resid) / denom**2
 
 
@@ -250,12 +254,10 @@ class _PencilLine:
     def cost_at(self, lam: float) -> float:
         den = 1.0 + (lam - self.lam_floor) * self.gamma
         tr_u = float(np.sum(self.cdiag / den))
-        denom = self.n - tr_u
-        if denom <= self.n * 1e-12:
+        try:
+            return _gcv_score(self.n, tr_u, self.Y - self.B_tilde @ (self.zc / den))
+        except DegenerateGCVError:
             return np.inf
-        fitted = self.B_tilde @ (self.zc / den)
-        resid = self.Y - fitted
-        return self.n * float(resid @ resid) / denom**2
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -308,17 +310,14 @@ class _GCVSurface:
         n, lam = self.n, 10.0**rho
         point = SimpleNamespace(rho=rho, lam=lam, cost=np.inf)
         try:
-            point.system = _PenalizedSystem(
+            system = point.system = _PenalizedSystem(
                 self.B, (self.index, weighted_penalty(lam, self.values)), n, self.C, self.R
             )
-        except IllConditionedScaleError:
-            return point
-        point.denom = n - point.system.trace_u
-        if point.denom <= n * 1e-12:
-            return point
-        point.theta = point.system.solve(self.BtY)
-        point.resid = self.Y - self.B @ point.theta
-        point.cost = n * float(point.resid @ point.resid) / point.denom**2
+            point.theta = system.solve(self.BtY)
+            point.resid = self.Y - self.B @ point.theta
+            point.cost = _gcv_score(n, system.trace_u, point.resid)
+        except (IllConditionedScaleError, DegenerateGCVError):
+            pass
         return point
 
     def derivatives(self, point) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +348,7 @@ class _GCVSurface:
                 d2rss[i, j] += 2.0 * float(w @ cross)
                 d2tau[j, i], d2rss[j, i] = d2tau[i, j], d2rss[i, j]
         # cost = n rss / D^2 with D = n - tau, so d cost / d tau = 2 cost / D
-        D, cost = point.denom, point.cost
+        D, cost = n - system.trace_u, point.cost
         grad = n * drss / D**2 + 2.0 * cost * dtau / D
         hess = (
             n * d2rss / D**2

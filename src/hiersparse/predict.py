@@ -4,11 +4,11 @@ Mean prediction needs only the model payload (epsilon_t, X_t, C_t).  Interval
 prediction additionally rebuilds the basis on the full training inputs to
 estimate the noise variance and the pointwise fit standard error, so it
 requires the original dataset.  That noise fit (the inverse L^{-1} of the
-Cholesky factor of B^T B + n P, sigma^2 and df_res) does not depend on the
-queries: repeated interval calls on one (model, dataset) reuse one
-factorization and one inversion, and each batch of queries costs one
-triangular product.  Only the most recent fit is kept, keyed on the content of
-the arrays it reads.
+Cholesky factor of B^T B + n P, assembled from the band ``penalty_band`` as
+the GCV search does, sigma^2 and df_res) does not depend on the queries:
+repeated interval calls on one (model, dataset) reuse one factorization and
+one inversion, and each batch of queries costs one triangular product.  Only
+the most recent fit is kept, keyed on the content of the arrays it reads.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .errors import DegenerateDofError
 from .hierarchy import SparseModel
 from .kernel import Dataset, kernel_matrix
 from .network import _PenalizedSystem
-from .penalty import PenaltySpec, penalty_operator
+from .penalty import penalty_band, weighted_penalty
 from .tdist import t_quantile
 
 
@@ -86,15 +86,18 @@ def _noise_fit(model: SparseModel, dataset: Dataset):
     if noise is None:
         n = dataset.n
         B_t = kernel_matrix(dataset.X, model.X_t, model.epsilon_t)
-        P = penalty_operator(PenaltySpec(model.Q_t, model.Lambda_t), model.X_t).P
-        system = _PenalizedSystem(B_t, P, n)
+        index, values = penalty_band(model.Q_t, model.X_t)
+        system = _PenalizedSystem(B_t, (index, weighted_penalty(model.Lambda_t, values)), n)
         df_res = n - 2.0 * system.trace_u + system.trace_uut
         if df_res <= 0:
             raise DegenerateDofError(
                 f"residual degrees of freedom {df_res:.3g} <= 0; intervals suppressed"
             )
         resid = dataset.Y - B_t @ model.C_t
-        noise = system.Linv, float(resid @ resid) / df_res, df_res
+        sigma2 = float(resid @ resid) / df_res
+        if not np.isfinite(sigma2):
+            raise DegenerateDofError("the residual sum of squares overflows; intervals suppressed")
+        noise = system.Linv, sigma2, df_res
         _NOISE_FIT_MEMO.clear()
         _NOISE_FIT_MEMO[key] = noise
     return noise

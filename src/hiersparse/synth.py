@@ -84,7 +84,6 @@ def eval_true(family: str, x):
 def sample(spec: SynthSpec) -> Dataset:
     """Uniform coordinates in the bounds plus N(0, sigma^2) noise on the values."""
     rng = np.random.default_rng(spec.seed)
-    d = FAMILY_DIMS[spec.family]
     cols = [rng.uniform(lo, hi, size=spec.n) for lo, hi in spec.bounds]
     X = np.column_stack(cols)
     f = np.asarray(eval_true(spec.family, X), dtype=float).ravel()

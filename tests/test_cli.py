@@ -1,5 +1,11 @@
+import copy
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hiersparse import predict_intervals, predict_mean
 from hiersparse.cli import main
@@ -354,3 +360,126 @@ class TestMalformedInput:
         assert code == 1
         assert str(data_dir) in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """(model payload, training CSV) of one small 1-D fit, shared by the module."""
+    model, _, train = _fit_files(tmp_path_factory.mktemp("served"), n=60)
+    return json.loads(model.read_text()), train
+
+
+def _predict_edited(root, served, edit, ci):
+    """Write the served model with ``edit`` applied to its "model" dict and run
+    ``predict`` on it, with ``--ci`` when ``ci``; (exit code, model path, out path)."""
+    payload, train = served
+    payload = copy.deepcopy(payload)
+    edit(payload["model"])
+    model, out = root / "edited.json", root / "out.csv"
+    model.write_text(json.dumps(payload))
+    out.unlink(missing_ok=True)
+    extra = ["--ci", "0.1", "--data", str(train), "--has-header"] if ci else []
+    return _run("predict", "--model", str(model), "--grid=-500:500:7", *extra,
+                "--out", str(out)), model, out
+
+
+class TestModelFileChecks:
+    # one field of a valid file edited; each edit exited 0, 2 or raised before the check
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["C_t"].__setitem__(0, math.nan),
+        lambda m: m["C_t"].pop(),
+        lambda m: m.update(X_t=[], C_t=[]),
+        lambda m: m.update(Q_t=[3]),
+        lambda m: m.update(Lambda_t=[-1.0]),
+        lambda m: m.update(epsilon_t=-1.0),
+    ], ids=["nan C_t entry", "C_t one short", "empty X_t and C_t", "Q_t 3", "Lambda_t -1",
+            "epsilon_t -1"])
+    @pytest.mark.parametrize("ci", [False, True], ids=["mean", "ci"])
+    def test_refused_file_exits_one_and_writes_nothing(self, tmp_path, capsys, served, edit,
+                                                       ci):
+        code, model, out = _predict_edited(tmp_path, served, edit, ci)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(model) in err and "invalid model" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_y_t_of_another_length_is_read(self, tmp_path, served):
+        # a model served at a scale other than t keeps the winner's Y_t
+        code, _, out = _predict_edited(tmp_path, served, lambda m: m["Y_t"].pop(), ci=True)
+        assert code == 0 and out.exists()
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]),
+)
+_VALUES = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, st.text(max_size=3),
+    st.lists(_NUMBERS, max_size=3), st.lists(st.lists(_NUMBERS, max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), _NUMBERS, max_size=1),
+)
+
+
+@st.composite
+def _edits(draw):
+    """One field of the "model" dict replaced by any JSON value, or one entry
+    of a list field (a coordinate, for X_t) set to a number, dropped or repeated."""
+    field = draw(st.sampled_from(
+        ["t", "epsilon_t", "X_t", "Y_t", "C_t", "Lambda_t", "Q_t", "n_train", "history"]))
+    how = draw(st.sampled_from(["replace", "set", "drop", "repeat"]))
+    value = draw(_VALUES if how == "replace" else _NUMBERS)
+    index = draw(st.integers(0, 10**6))
+
+    def edit(model):
+        old = model[field]
+        if how == "replace" or not (isinstance(old, list) and old):
+            model[field] = value
+            return
+        i = index % len(old)
+        if how == "drop":
+            del old[i]
+        elif how == "repeat":
+            old.insert(i, old[i])
+        elif isinstance(old[i], list) and old[i]:
+            old[i][0] = value
+        else:
+            old[i] = value
+
+    return edit
+
+
+class TestOverflowingNoiseFit:
+    # a valid model whose large coefficient overflows sigma2_hat wrote inf with exit 0
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_exits_two_and_writes_nothing(self, tmp_path, capsys, served, command):
+        payload, train = served
+        payload = copy.deepcopy(payload)
+        payload["model"]["C_t"][0] = 1e200
+        model, out = tmp_path / "big.json", tmp_path / "out"
+        model.write_text(json.dumps(payload))
+        outputs = {"predict": ["--grid=-500:500:7", "--ci", "0.1", "--out", str(out)],
+                   "report": ["--out-dir", str(out)]}[command]
+        with np.errstate(over="ignore"):
+            code = _run(command, "--model", str(model), "--data", str(train), "--has-header",
+                        *outputs)
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestModelFileFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edit=_edits(), ci=st.booleans())
+    def test_edited_file_exits_cleanly(self, tmp_path, served, edit, ci):
+        with np.errstate(all="ignore"):
+            code, _, out = _predict_edited(tmp_path, served, edit, ci)
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert not out.exists()
+        else:
+            text = out.read_text().splitlines()
+            meta = [ln.split("=", 1)[1] for ln in text if ln.startswith("#")]
+            cells = meta + [c for ln in text[len(meta) + 1:] for c in ln.split(",")]
+            assert all(math.isfinite(float(c)) for c in cells)

@@ -189,6 +189,18 @@ class TestGCV:
     def test_unpenalized_interpolation_degenerate(self):
         with pytest.raises(DegenerateGCVError):
             gcv(np.eye(3), np.array([1.0, 2.0, 3.0]), np.zeros((3, 3)), n=3)
+        # two centers leave an order-2 penalty no row, so Psi = 0 and
+        # tr(I - U) = 0 at every weight: each scorer meets the floor
+        B, Y, centers = np.eye(2), np.array([1.0, -2.0]), np.array([[0.0], [1.0]])
+        with pytest.raises(DegenerateGCVError):
+            gcv(B, Y, penalty_operator(PenaltySpec((2,), np.ones(1)), centers).P, n=2)
+        line = network._PencilLine(B.T @ B, B, Y, penalty_band((2,), centers), 2, 1e-8)
+        assert line.cost_at(1.0) == np.inf
+        surface = network._GCVSurface(B, Y, B.T @ B, np.linalg.qr(B, mode="r"), centers, 2,
+                                      (2,))
+        assert surface.at(np.zeros(1)).cost == np.inf
+        lam, cost = optimize_lambda(B, Y, centers, 2, (2,))
+        assert np.array_equal(lam, np.ones(1)) and cost == np.inf
 
     def test_three_point_hand_oracle(self):
         rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -410,3 +411,24 @@ class TestNoiseFitMemo:
         predict_intervals(model, ds, X_m[:1])  # fills the memo if it is not already
         got = predict_intervals(model, ds, X_m)
         _assert_same(got, _fresh(model, ds, X_m))
+
+
+class TestNoDensePenalty:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fit_and_intervals_form_no_dense_penalty(self, monkeypatch, d):
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense penalty was formed")
+
+        for name, module in list(sys.modules.items()):
+            if name == "hiersparse" or name.startswith("hiersparse."):
+                for attr in ("penalty_components", "penalty_operator"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, dense)
+        rng = np.random.default_rng(50 + d)
+        X = rng.uniform(-1.0, 1.0, size=(40, d))
+        ds = Dataset(X=X, Y=np.cos(2.0 * X[:, 0]) + 0.1 * rng.standard_normal(40))
+        model = fit(ds, seed=d)
+        predict._NOISE_FIT_MEMO.clear()
+        assert np.all(np.isfinite(predict_intervals(model, ds, _queries(d, 5)).std))
+        predict._NOISE_FIT_MEMO.clear()
+        assert sigma2_hat(model, ds) > 0.0
