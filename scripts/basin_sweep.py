@@ -15,31 +15,16 @@ count out of all searches (288 with the defaults).
 """
 import argparse
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from hiersparse import (
-    diameter_T,
-    gram,
-    network,
-    numerical_rank,
-    optimize_lambda,
-    pivoted_qr_permutation,
-    select_basis,
-    sketch,
-)
-from hiersparse.network import LOG_LAMBDA_BOUNDS
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-
-def basis_problem(n: int, seed: int, s: int, noise: float = 0.1, phi: float = 1e-10):
-    """(B, Y, centers): the scale-s basis of a random 2-D dataset, as the tests build it."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(n, 2))
-    Y = np.sin(2.0 * X[:, 0]) + (X**2).sum(axis=1) + noise * rng.standard_normal(n)
-    G = gram(X, diameter_T(X) / 2.0**s)
-    l = numerical_rank(G, phi)
-    basis = select_basis(G, pivoted_qr_permutation(sketch(G, l, 8, seed)), l)
-    return basis.B, Y, X[basis.selected]
+from hiersparse import network, optimize_lambda  # noqa: E402
+from hiersparse.network import LOG_LAMBDA_BOUNDS  # noqa: E402
+from helpers import make_basis_problem  # noqa: E402
 
 
 def main():
@@ -56,7 +41,8 @@ def main():
     grid = np.linspace(*LOG_LAMBDA_BOUNDS, args.grid_side)
     above = total = 0
     for n, seed, s in itertools.product(args.n, args.seeds, args.scales):
-        B, Y, centers = basis_problem(n, seed, s)
+        prob = make_basis_problem(n, 2, seed, s)
+        B, Y, centers = prob["B"], prob["Y"], prob["centers"]
         C, R = B.T @ B, np.linalg.qr(B, mode="r")
         for q in itertools.product((1, 2), repeat=2):
             _, cost = optimize_lambda(B, Y, centers, n, q)

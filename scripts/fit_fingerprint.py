@@ -1,4 +1,5 @@
-"""Print one digest line per benchmark fit, to check that a change moves no bit.
+"""Print one digest line per benchmark fit and per CLI pipeline, to check
+that a change moves no bit.
 
 The 19 fits are the benchmark's own problems, built from the specs in
 ``perfbench/workloads.py``: ``fit2d`` at seeds 41 and 1041, ``fit1d`` at
@@ -12,15 +13,26 @@ two digests:
   500 fixed queries.
 
 Raw float64 bytes include the sign bit, so -0.0 and +0.0 digest apart.
+
+Two lines follow, one per CLI pipeline (schwefel1d, and bohachevsky2d on
+[-1, 1]^2).  Each runs ``cli.main`` in process, in a temporary directory:
+``fit --report --export-data``, ``predict``, ``predict --ci``, and
+``report`` with and without ``--data``.  Its ``cli`` digest covers every
+command's stdout and the name and bytes of every file they write.
+
 Comparing two commits is one ``diff`` of this script's output at each:
 
     PYTHONPATH=src python3 scripts/fit_fingerprint.py > fingerprint.txt
-    PYTHONPATH=src python3 scripts/fit_fingerprint.py --only fit1d-31 serve_cli-11
+    PYTHONPATH=src python3 scripts/fit_fingerprint.py --only fit1d-31 cli-schwefel1d
 """
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +40,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import hiersparse as hs  # noqa: E402
+from hiersparse import cli  # noqa: E402
 from workloads import FIT1D, FIT2D, SERVE, SERVE_NOISE, serve_seeds  # noqa: E402
 
 QUERIES = 500
+# name -> (``fit`` flags of the pipeline's data, ``--grid`` of its predictions)
+CLI_PIPELINES = {
+    "cli-schwefel1d": (["--synth", "schwefel1d", "--n", "200", "--noise", "25", "--seed", "3"],
+                       "-500:500:301"),
+    "cli-bohachevsky2d": (["--synth", "bohachevsky2d", "--n", "300", "--noise", "0.2",
+                           "--range=-1:1,-1:1", "--seed", "9"], "-1:1:25,-1:1:25"),
+}
 
 
 def problems() -> dict:
@@ -73,15 +93,49 @@ def fingerprint(name, spec, build, seed) -> str:
             f"fit={fitted.hexdigest()} predict={served.hexdigest()}")
 
 
+def cli_fingerprint(name, fit_flags, grid) -> str:
+    data = ["--data", "train.csv", "--has-header"]
+    commands = [
+        ["fit", *fit_flags, "--out", "model.json", "--report", "scales.csv",
+         "--export-data", "train.csv"],
+        ["predict", "--model", "model.json", f"--grid={grid}", "--out", "mean.csv"],
+        ["predict", "--model", "model.json", f"--grid={grid}", "--ci", "0.05", *data,
+         "--out", "band.csv"],
+        ["report", "--model", "model.json", "--out-dir", "report"],
+        ["report", "--model", "model.json", *data, "--out-dir", "report_data"],
+    ]
+    digest, home = hashlib.blake2b(digest_size=12), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative paths, so no output names the directory
+        try:
+            for argv in commands:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(argv)
+                if code != 0:
+                    raise SystemExit(f"{name}: {' '.join(argv)} exited {code}")
+                digest.update(stdout.getvalue().encode())
+            files = sorted(p for p in Path(".").rglob("*") if p.is_file())
+            for path in files:
+                digest.update(path.as_posix().encode())
+                digest.update(path.read_bytes())
+        finally:
+            os.chdir(home)
+    return f"{name} files={len(files)} cli={digest.hexdigest()}"
+
+
 def main():
     known = problems()
+    names = list(known) + list(CLI_PIPELINES)
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--only", nargs="+", choices=list(known), metavar="NAME",
-                    help=f"fits to run (default all): {', '.join(known)}")
+    ap.add_argument("--only", nargs="+", choices=names, metavar="NAME",
+                    help=f"lines to print (default all): {', '.join(names)}")
     args = ap.parse_args()
-    for name in args.only or known:
-        print(fingerprint(name, *known[name]), flush=True)
+    for name in args.only or names:
+        line = (fingerprint(name, *known[name]) if name in known
+                else cli_fingerprint(name, *CLI_PIPELINES[name]))
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from itertools import chain
 from pathlib import Path
 
@@ -70,16 +71,25 @@ def _record_to_dict(rec: ScaleRecord) -> dict:
     }
 
 
-def _record_from_dict(d: dict) -> ScaleRecord:
+def _integral(value, field: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``field`` unless it is an
+    integral number: ``int`` would truncate 1.5 and read True as 1."""
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        return int(value)
+    raise ValueError(f"invalid model: needs {field} an integral number, got {value!r}")
+
+
+def _record_from_dict(d: dict, field: str) -> ScaleRecord:
     return ScaleRecord(
-        s=int(d["s"]),
+        s=_integral(d["s"], f"{field}.s"),
         epsilon_s=float(d["epsilon_s"]),
-        l_s=int(d["l_s"]),
+        l_s=_integral(d["l_s"], f"{field}.l_s"),
         comp_s=float(d["comp_s"]),
         cost=math.inf if d["cost"] is None else float(d["cost"]),
         lam=None if d["lambda"] is None else np.asarray(d["lambda"], dtype=float),
-        q=None if d["q"] is None else tuple(int(v) for v in d["q"]),
-        seed=int(d["seed"]),
+        q=None if d["q"] is None else tuple(_integral(v, f"{field}.q") for v in d["q"]),
+        seed=_integral(d["seed"], f"{field}.seed"),
         points=np.asarray(d["points"], dtype=float),
     )
 
@@ -121,15 +131,15 @@ def _check_model(model: SparseModel) -> SparseModel:
 
 def model_from_dict(d: dict) -> SparseModel:
     return _check_model(SparseModel(
-        t=int(d["t"]),
+        t=_integral(d["t"], "t"),
         epsilon_t=float(d["epsilon_t"]),
         X_t=np.asarray(d["X_t"], dtype=float),
         Y_t=np.asarray(d["Y_t"], dtype=float),
         C_t=np.asarray(d["C_t"], dtype=float),
         Lambda_t=np.asarray(d["Lambda_t"], dtype=float),
-        Q_t=tuple(int(v) for v in d["Q_t"]),
-        n_train=int(d["n_train"]),
-        history=[_record_from_dict(r) for r in d["history"]],
+        Q_t=tuple(_integral(v, "Q_t") for v in d["Q_t"]),
+        n_train=_integral(d["n_train"], "n_train"),
+        history=[_record_from_dict(r, f"history[{i}]") for i, r in enumerate(d["history"])],
     ))
 
 

@@ -50,14 +50,22 @@ def _query_matrix(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
     return X_m
 
 
+def _mean(model: SparseModel, B_m: np.ndarray) -> np.ndarray:
+    """B_m C_t, or ``ValueError`` where finite coefficients sum past the float range."""
+    mean = B_m @ model.C_t
+    if not np.isfinite(mean).all():
+        raise ValueError("the predicted mean overflows the float range")
+    return mean
+
+
 def predict_mean(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
     """Kernel basis at the queries times the sparse coefficients.
 
-    Uses only (epsilon_t, X_t, C_t); the training dataset is not touched.
+    Uses only (epsilon_t, X_t, C_t), not the training dataset; a mean past
+    the float range raises ``ValueError``.
     """
     X_m = _query_matrix(model, X_m)
-    B_m = kernel_matrix(X_m, model.X_t, model.epsilon_t)
-    return B_m @ model.C_t
+    return _mean(model, kernel_matrix(X_m, model.X_t, model.epsilon_t))
 
 
 # the most recent noise fit, (L^{-1}, sigma^2, df_res), under its _noise_fit_key;
@@ -158,7 +166,7 @@ def predict_intervals(
     X_m = _query_matrix(model, X_m)
     Linv, sigma2, df_res = _noise_fit(model, dataset)
     B_m = kernel_matrix(X_m, model.X_t, model.epsilon_t)
-    mean = B_m @ model.C_t
+    mean = _mean(model, B_m)
     std = _std(Linv, sigma2, B_m)
     lower, upper = confidence_intervals(mean, std, df_res, alpha)
     return PredictionSet(

@@ -384,7 +384,8 @@ def _predict_edited(root, served, edit, ci):
 
 
 class TestModelFileChecks:
-    # one field of a valid file edited; each edit exited 0, 2 or raised before the check
+    # one field of a valid file edited; each edit exited 0 (the last three read
+    # through int, which truncates), 2 or raised before the check
     @pytest.mark.parametrize("edit", [
         lambda m: m["C_t"].__setitem__(0, math.nan),
         lambda m: m["C_t"].pop(),
@@ -392,8 +393,11 @@ class TestModelFileChecks:
         lambda m: m.update(Q_t=[3]),
         lambda m: m.update(Lambda_t=[-1.0]),
         lambda m: m.update(epsilon_t=-1.0),
+        lambda m: m.update(Q_t=[1.5]),
+        lambda m: m.update(t=m["t"] + 0.5),
+        lambda m: m.update(n_train=m["n_train"] + 0.5),
     ], ids=["nan C_t entry", "C_t one short", "empty X_t and C_t", "Q_t 3", "Lambda_t -1",
-            "epsilon_t -1"])
+            "epsilon_t -1", "Q_t 1.5", "t + 0.5", "n_train + 0.5"])
     @pytest.mark.parametrize("ci", [False, True], ids=["mean", "ci"])
     def test_refused_file_exits_one_and_writes_nothing(self, tmp_path, capsys, served, edit,
                                                        ci):
@@ -463,6 +467,24 @@ class TestOverflowingNoiseFit:
         with np.errstate(over="ignore"):
             code = _run(command, "--model", str(model), "--data", str(train), "--has-header",
                         *outputs)
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOverflowingMean:
+    def test_exits_two_and_writes_nothing(self, tmp_path, capsys, served):
+        # two nearby centers with finite coefficients whose kernel-weighted sum
+        # overflows; the mean path wrote inf with exit 0
+        def edit(model):
+            x = np.array(model["X_t"])[:, 0]
+            order = np.argsort(x)
+            k = int(np.argmin(np.diff(x[order])))
+            for i in order[k:k + 2]:
+                model["C_t"][i] = 1.5e308
+
+        with np.errstate(over="ignore"):
+            code, _, out = _predict_edited(tmp_path, served, edit, ci=False)
         assert code == 2
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()

@@ -403,6 +403,23 @@ class TestGoldenSection:
             assert 1 <= len(passes) <= network.REFINE_PASSES
             assert all(a != b for a, b in zip(passes, passes[1:]))
 
+    def test_no_grid_point_of_the_box_scores_lower(self):
+        # seeded from a grid on [-8, 2] only, 11 of these 192 searches ended
+        # above the grid minimum, the worst by 4.1% at (40, 2, 1, q = 1)
+        grid = np.linspace(*LOG_LAMBDA_BOUNDS, 33)
+        above = []
+        for n, seed, s in itertools.product((40, 60, 120), range(8), range(1, 5)):
+            prob = make_basis_problem(n, 1, seed=seed, s=s)
+            B, Y, centers = prob["B"], prob["Y"], prob["centers"]
+            C, R = B.T @ B, np.linalg.qr(B, mode="r")
+            for q in [(1,), (2,)]:
+                _, cost = optimize_lambda(B, Y, centers, n, q)
+                surface = network._GCVSurface(B, Y, C, R, centers, n, q)
+                grid_min = min(surface.at(np.array([g])).cost for g in grid)
+                if cost > grid_min * (1.0 + 1e-9):
+                    above.append((n, seed, s, q, cost / grid_min - 1.0))
+        assert above == []
+
 
 class TestNewtonSearch:
     # points where the penalty conditions S: near the box floor gcv() itself

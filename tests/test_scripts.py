@@ -67,14 +67,16 @@ def test_basin_sweep_counts_its_searches():
 def test_fit_fingerprint_repeats_its_line():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    names = ["serve_cli-11", "cli-schwefel1d", "cli-bohachevsky2d"]
     runs = []
     for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "fit_fingerprint.py"),
-             "--only", "serve_cli-11"],
-            env=env, capture_output=True, text=True, timeout=60,
+            [sys.executable, str(ROOT / "scripts" / "fit_fingerprint.py"), "--only", *names],
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout.splitlines())
-    assert len(runs[0]) == 1 and runs[0] == runs[1]
+    assert runs[0] == runs[1]
+    assert [line.split()[0] for line in runs[0]] == names
     assert runs[0][0].startswith("serve_cli-11 t=") and " fit=" in runs[0][0]
+    assert all(" files=" in line and " cli=" in line for line in runs[0][1:])
