@@ -108,13 +108,35 @@ def model_to_dict(model: SparseModel) -> dict:
     }
 
 
+def _record_rules(rec: ScaleRecord, i: int, d: int) -> list:
+    """(holds, rule) pairs of history record ``i`` of a model on d dimensions; a
+    null cost (inf) marks an unfit scale, which alone has no lambda and q."""
+    at = f"history[{i}]"
+    unfit = rec.cost == math.inf
+    lam = np.empty(0) if rec.lam is None else rec.lam
+    numbers = np.concatenate([[rec.epsilon_s, rec.comp_s, 0.0 if unfit else rec.cost],
+                              lam.ravel()])
+    return [
+        (rec.s == i, f"{at}.s equal to {i}"),
+        (rec.points.shape == (rec.l_s, d) and np.isfinite(rec.points).all(),
+         f"{at}.points a finite l_s x d table"),
+        (np.isfinite(numbers).all(), f"{at} numbers finite, bar a null cost"),
+        (rec.lam is None or (lam.shape == (d,) and np.all(lam > 0)),
+         f"{at}.lambda d values > 0, or null"),
+        (rec.q is None or (len(rec.q) == d and set(rec.q) <= {1, 2}),
+         f"{at}.q d entries in {{1, 2}}, or null"),
+        ((rec.lam is None) == (rec.q is None) == unfit,
+         f"{at}.lambda and q null exactly when its cost is"),
+    ]
+
+
 def _check_model(model: SparseModel) -> SparseModel:
     """``model``, or ``ValueError`` naming the first rule of a model file it breaks
     (Y_t, which no prediction reads, need not match X_t's length)."""
     X, Lam = model.X_t, model.Lambda_t
     m, d = X.shape if X.ndim == 2 else (0, 0)
     finite = all(np.isfinite(a).all() for a in (X, model.Y_t, model.C_t, Lam))
-    for ok, rule in [
+    rules = [
         (m >= 1 and d >= 1, "X_t a nonempty m x d table"),
         (model.C_t.shape == (m,), "C_t of length m"),
         (Lam.shape == (d,) and len(model.Q_t) == d, "Lambda_t and Q_t of length d"),
@@ -123,7 +145,10 @@ def _check_model(model: SparseModel) -> SparseModel:
         (0.0 < model.epsilon_t < math.inf, "epsilon_t finite and > 0"),
         (model.n_train >= m, "n_train >= m"),
         (0 <= model.t < len(model.history), "t an index of history"),
-    ]:
+    ]
+    for i, rec in enumerate(model.history):
+        rules += _record_rules(rec, i, d)
+    for ok, rule in rules:
         if not ok:
             raise ValueError(f"invalid model: needs {rule}")
     return model
@@ -194,12 +219,16 @@ def read_points_csv(path, has_header: bool = False) -> np.ndarray:
 
     Rejects ragged rows, non-numeric cells, and nonfinite values with a
     diagnostic naming the offending row (1-based, header included) and column.
-    With ``has_header``, a first row of finite numbers is rejected too: it is
-    a data row, and skipping it would drop a point without notice.
+    The file is UTF-8; a byte order mark, as spreadsheet exports write, is
+    skipped.  With ``has_header``, a first row of finite numbers is rejected
+    too: it is a data row, and skipping it would drop a point without notice.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise CSVParseError(f"{path}: not UTF-8 text") from None
     if has_header and rows and rows[0] and all(_is_finite_number(c) for c in rows[0]):
         raise CSVParseError(
             f"{path}: row 1 is read as a header but holds only numbers; "

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -369,18 +370,23 @@ def served(tmp_path_factory):
     return json.loads(model.read_text()), train
 
 
-def _predict_edited(root, served, edit, ci):
+def _run_edited(root, served, edit, command):
     """Write the served model with ``edit`` applied to its "model" dict and run
-    ``predict`` on it, with ``--ci`` when ``ci``; (exit code, model path, out path)."""
+    ``command`` on it: "mean" (``predict``), "ci" (``predict --ci``) or "report"
+    (``report --data``); (exit code, model path, output file or directory)."""
     payload, train = served
     payload = copy.deepcopy(payload)
     edit(payload["model"])
-    model, out = root / "edited.json", root / "out.csv"
+    model, out = root / "edited.json", root / command
     model.write_text(json.dumps(payload))
+    if out.is_dir():
+        shutil.rmtree(out)
     out.unlink(missing_ok=True)
-    extra = ["--ci", "0.1", "--data", str(train), "--has-header"] if ci else []
-    return _run("predict", "--model", str(model), "--grid=-500:500:7", *extra,
-                "--out", str(out)), model, out
+    data = ["--data", str(train), "--has-header"]
+    argv = {"mean": ["predict", "--grid=-500:500:7", "--out"],
+            "ci": ["predict", "--grid=-500:500:7", "--ci", "0.1", *data, "--out"],
+            "report": ["report", *data, "--out-dir"]}[command]
+    return _run(*argv, str(out), "--model", str(model)), model, out
 
 
 class TestModelFileChecks:
@@ -398,18 +404,41 @@ class TestModelFileChecks:
         lambda m: m.update(n_train=m["n_train"] + 0.5),
     ], ids=["nan C_t entry", "C_t one short", "empty X_t and C_t", "Q_t 3", "Lambda_t -1",
             "epsilon_t -1", "Q_t 1.5", "t + 0.5", "n_train + 0.5"])
-    @pytest.mark.parametrize("ci", [False, True], ids=["mean", "ci"])
+    @pytest.mark.parametrize("command", ["mean", "ci"])
     def test_refused_file_exits_one_and_writes_nothing(self, tmp_path, capsys, served, edit,
-                                                       ci):
-        code, model, out = _predict_edited(tmp_path, served, edit, ci)
+                                                       command):
+        code, model, out = _run_edited(tmp_path, served, edit, command)
         err = capsys.readouterr().err
         assert code == 1
         assert str(model) in err and "invalid model" in err and "Traceback" not in err
         assert not out.exists()
 
+    # one field of one history record edited; each edit exited 0 and wrote the
+    # record as given, under the 1-cell header for a two-wide point table
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["history"][0].update(points=[p * 2 for p in m["history"][0]["points"]]),
+        lambda m: m["history"][0]["points"][0].__setitem__(0, math.nan),
+        lambda m: m["history"][0].update(cost=math.nan),
+        lambda m: m["history"][0].update(**{"lambda": [-1.0]}),
+        lambda m: m["history"][0].update(q=[3]),
+        lambda m: m["history"][0].update(l_s=10**6),
+        lambda m: m["history"][0].update(s=1),
+        lambda m: m["history"][0].update(cost=None),
+        lambda m: m["history"][0].update(q=None, **{"lambda": None}),
+    ], ids=["points two wide", "nan point", "nan cost", "lambda -1", "q 3", "l_s 1e6",
+            "s not its index", "null cost with lambda and q", "null lambda and q with a cost"])
+    def test_refused_history_record_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                                 served, edit):
+        code, model, out = _run_edited(tmp_path, served, edit, "report")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(model) in err and "invalid model: needs history[0]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_y_t_of_another_length_is_read(self, tmp_path, served):
         # a model served at a scale other than t keeps the winner's Y_t
-        code, _, out = _predict_edited(tmp_path, served, lambda m: m["Y_t"].pop(), ci=True)
+        code, _, out = _run_edited(tmp_path, served, lambda m: m["Y_t"].pop(), "ci")
         assert code == 0 and out.exists()
 
 
@@ -425,17 +454,24 @@ _VALUES = st.one_of(
 )
 
 
+_RECORD_FIELDS = ["s", "epsilon_s", "l_s", "comp_s", "cost", "lambda", "q", "seed", "points"]
+
+
 @st.composite
 def _edits(draw):
-    """One field of the "model" dict replaced by any JSON value, or one entry
-    of a list field (a coordinate, for X_t) set to a number, dropped or repeated."""
+    """One field of the "model" dict or of one of its history records replaced by
+    any JSON value, or one entry of a list field (a coordinate, for X_t and
+    points) set to a number, dropped or repeated."""
     field = draw(st.sampled_from(
-        ["t", "epsilon_t", "X_t", "Y_t", "C_t", "Lambda_t", "Q_t", "n_train", "history"]))
+        ["t", "epsilon_t", "X_t", "Y_t", "C_t", "Lambda_t", "Q_t", "n_train", "history",
+         *_RECORD_FIELDS]))
     how = draw(st.sampled_from(["replace", "set", "drop", "repeat"]))
     value = draw(_VALUES if how == "replace" else _NUMBERS)
-    index = draw(st.integers(0, 10**6))
+    record, index = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
 
     def edit(model):
+        if field in _RECORD_FIELDS:
+            model = model["history"][record % len(model["history"])]
         old = model[field]
         if how == "replace" or not (isinstance(old, list) and old):
             model[field] = value
@@ -484,7 +520,7 @@ class TestOverflowingMean:
                 model["C_t"][i] = 1.5e308
 
         with np.errstate(over="ignore"):
-            code, _, out = _predict_edited(tmp_path, served, edit, ci=False)
+            code, _, out = _run_edited(tmp_path, served, edit, "mean")
         assert code == 2
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
@@ -493,15 +529,20 @@ class TestOverflowingMean:
 class TestModelFileFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(edit=_edits(), ci=st.booleans())
-    def test_edited_file_exits_cleanly(self, tmp_path, served, edit, ci):
+    @given(edit=_edits(), command=st.sampled_from(["mean", "ci", "report"]))
+    def test_edited_file_exits_cleanly(self, tmp_path, served, edit, command):
         with np.errstate(all="ignore"):
-            code, _, out = _predict_edited(tmp_path, served, edit, ci)
+            code, model, out = _run_edited(tmp_path, served, edit, command)
         assert code in (0, 1, 2)
         if code != 0:
             assert not out.exists()
-        else:
-            text = out.read_text().splitlines()
+            return
+        history = load_model(model)[0].history
+        for path in sorted(out.glob("*.csv")) if command == "report" else [out]:
+            text = path.read_text().splitlines()
             meta = [ln.split("=", 1)[1] for ln in text if ln.startswith("#")]
-            cells = meta + [c for ln in text[len(meta) + 1:] for c in ln.split(",")]
-            assert all(math.isfinite(float(c)) for c in cells)
+            rows = [ln.split(",") for ln in text[len(meta) + 1:]]
+            if path.name == "cost_curve.csv":  # an unfit scale, with no q and lambda, costs inf
+                rows = [row[:4] + row[5:] if row[4] == "inf" and rec.q is None
+                        and rec.lam is None else row for row, rec in zip(rows, history)]
+            assert all(math.isfinite(float(c)) for c in meta + [c for row in rows for c in row])

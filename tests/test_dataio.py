@@ -119,6 +119,32 @@ class TestReadPoints:
         p.write_text("1\n2\n")
         assert read_points_csv(p).tolist() == [[1.0], [2.0]]
 
+    @staticmethod
+    def _with_and_without_bom(tmp_path, text):
+        # spreadsheet exports start with a UTF-8 byte order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        return plain, marked
+
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path):
+        plain, marked = self._with_and_without_bom(tmp_path, "0.0,1.5\n2.5,3.5\n")
+        assert np.array_equal(read_points_csv(marked), read_points_csv(plain))
+        train, train_plain = ingest_csv(marked), ingest_csv(plain)
+        assert np.array_equal(train.X, train_plain.X)
+        assert np.array_equal(train.Y, train_plain.Y)
+
+    def test_byte_order_mark_does_not_hide_a_numeric_first_row(self, tmp_path):
+        _, marked = self._with_and_without_bom(tmp_path, "0.5,1.5\n2.5,3.5\n")
+        with pytest.raises(CSVParseError, match=r"row 1 is read as a header"):
+            read_points_csv(marked, has_header=True)
+
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_bytes(b"0.5\n1\xff\n")
+        with pytest.raises(CSVParseError, match=r"q\.csv: not UTF-8 text"):
+            read_points_csv(p)
+
 
 def _fitted_model(seed=0):
     rng = np.random.default_rng(seed)

@@ -18,14 +18,14 @@ def _table(path):
 
 
 @pytest.mark.parametrize(
-    "script, n, coords, band_rows",
-    [("run_univariate.py", 80, ["x_1"], 1000), ("run_bivariate.py", 100, ["x_1", "x_2"], 900)],
+    "family, n, coords, band_rows",
+    [("schwefel1d", 80, ["x_1"], 1000), ("bohachevsky2d", 100, ["x_1", "x_2"], 900)],
 )
-def test_script_writes_its_tables(tmp_path, script, n, coords, band_rows):
+def test_script_writes_its_tables(tmp_path, family, n, coords, band_rows):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--n", str(n),
+        [sys.executable, str(ROOT / "scripts" / "run_experiment.py"), family, "--n", str(n),
          "--out-dir", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
@@ -38,17 +38,18 @@ def test_script_writes_its_tables(tmp_path, script, n, coords, band_rows):
     assert len(rows) == band_rows
     assert {len(r.split(",")) for r in rows} == {len(header)}
 
-    # the summary line reads "convergence ... |X_t|=<size>, ..."
-    size = int(next(ln for ln in out if "|X_t|=" in ln).split("|X_t|=")[1].split(",")[0])
+    # the summary line reads "convergence ... |X_t|=<size>, ..., coverage=<fraction>"
+    summary = next(ln for ln in out if "|X_t|=" in ln)
+    size = int(summary.split("|X_t|=")[1].split(",")[0])
+    assert 0.0 <= float(summary.split("coverage=")[1]) <= 1.0
     _, header, rows = _table(tmp_path / "selected_points.csv")
     assert header == coords
     assert len(rows) == size
 
-    if script == "run_univariate.py":
-        scales = [ln.split()[0] for ln in out if ln.split()[:1] and ln.split()[0].isdigit()]
-        _, header, rows = _table(tmp_path / "cost_curve.csv")
-        assert header == ["s", "epsilon_s", "l_s", "comp_s", "cost"]
-        assert [r.split(",")[0] for r in rows] == scales
+    scales = [ln.split()[0] for ln in out if ln.split()[:1] and ln.split()[0].isdigit()]
+    _, header, rows = _table(tmp_path / "cost_curve.csv")
+    assert header == ["s", "epsilon_s", "l_s", "comp_s", "cost"]
+    assert [r.split(",")[0] for r in rows] == scales
 
 
 def test_basin_sweep_counts_its_searches():
