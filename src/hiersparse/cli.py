@@ -1,6 +1,7 @@
 """Command-line surface: fit, predict, report.
 
-Exit codes: 0 success, 1 usage/input error, 2 computation error.  Every run
+Exit codes: 0 success, 1 usage/input error, 2 computation error (a request too
+large for memory among them).  Every run
 is reproducible from (flags, seed, input file); outputs carry no wall-clock
 state, so repeated invocations are byte-identical at a fixed BLAS thread
 count (the thread count changes the order of floating-point sums).
@@ -305,6 +306,10 @@ def main(argv=None) -> int:
         return 1
     except (FitError, IllConditionedScaleError, DegenerateDofError, ValueError) as exc:
         print(f"hiersparse: computation failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"hiersparse: computation failed: out of memory ({exc}); "
+              "use fewer query points or a smaller input", file=sys.stderr)
         return 2
 
 

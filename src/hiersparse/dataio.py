@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CSVParseError
 from .hierarchy import ScaleRecord, SparseModel
 from .kernel import Dataset
+from .predict import _BLOCK_ROWS
 
 SCHEMA_VERSION = 2
 # version 1 also stored df_res_inputs (tr U, tr U U^T), which nothing read
@@ -148,6 +149,14 @@ def _check_model(model: SparseModel) -> SparseModel:
     ]
     for i, rec in enumerate(model.history):
         rules += _record_rules(rec, i, d)
+    if 0 <= model.t < len(model.history):  # the served scale is the record it came from
+        rec, at = model.history[model.t], f"history[{model.t}]"
+        rules += [
+            (rec.cost < math.inf, f"{at} fit (a finite cost)"),
+            (rec.epsilon_s == model.epsilon_t and rec.q == model.Q_t
+             and np.array_equal(rec.lam, Lam) and np.array_equal(rec.points, X),
+             f"{at}.epsilon_s, q, lambda and points equal to epsilon_t, Q_t, Lambda_t and X_t"),
+        ]
     for ok, rule in rules:
         if not ok:
             raise ValueError(f"invalid model: needs {rule}")
@@ -193,11 +202,16 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
     ``rows`` is a 2-D array or equal-length row lists that may mix ints,
     floats, numpy scalars and strings such as ``"1;2"``.  Columns (an array's
     as Python floats) are formatted whole and zipped into rows: faster than
-    row by row, and the same text.
+    row by row, and the same text.  An array is formatted in blocks of
+    ``_BLOCK_ROWS`` rows, so only one block is held as Python objects.
     """
-    columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows)
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[a:a + _BLOCK_ROWS].T.tolist() for a in range(0, len(rows), _BLOCK_ROWS))
+    else:
+        blocks = [zip(*rows)]
     head = [f"# {key}={val}" for key, val in (meta or {}).items()] + [",".join(header)]
-    body = map(",".join, zip(*(map(str, col) for col in columns)))
+    body = chain.from_iterable(
+        map(",".join, zip(*(map(str, col) for col in columns))) for columns in blocks)
     with open(path, "w") as fh:
         fh.writelines(map("{}\n".format, chain(head, body)))
 

@@ -12,13 +12,16 @@ import numpy as np
 
 from hiersparse import (
     Dataset,
+    confidence_intervals,
     diameter_T,
     gram,
+    kernel_matrix,
     numerical_rank,
     pivoted_qr_permutation,
     select_basis,
     sketch,
 )
+from hiersparse import predict
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +131,25 @@ def weights_lstsq_oracle(B: np.ndarray, Y: np.ndarray, F: np.ndarray, n: int) ->
     b = np.concatenate([Y, np.zeros(F.shape[0])])
     theta, *_ = np.linalg.lstsq(A, b, rcond=None)
     return theta
+
+
+def whole_batch_oracle(model, dataset: Dataset, X_m: np.ndarray, alpha: float):
+    """``PredictionSet`` of every query from one basis on all rows of ``X_m``:
+    ``kernel_matrix`` on the whole batch, then ``@ C_t`` and ``predict._std``.
+
+    The reference for blocked serving is a whole batch, not a row at a time:
+    a row predicted alone, or in a small batch whose size is not a multiple
+    of 4, can differ in its last bits from the same row in a batch of
+    thousands (OpenBLAS GEMV and xTRMM tile the rows).
+    """
+    X_m = np.asarray(X_m, dtype=float)
+    Linv, sigma2, df_res = predict._noise_fit(model, dataset)
+    B_m = kernel_matrix(X_m, model.X_t, model.epsilon_t)
+    mean = B_m @ model.C_t
+    std = predict._std(Linv, sigma2, B_m)
+    lower, upper = confidence_intervals(mean, std, df_res, alpha)
+    return predict.PredictionSet(X_m=X_m, mean=mean, std=std, lower=lower, upper=upper,
+                                 alpha=alpha, df_res=df_res, sigma2_hat=sigma2)
 
 
 # ---------------------------------------------------------------------------

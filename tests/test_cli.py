@@ -1,7 +1,9 @@
+import collections
 import copy
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,6 +438,25 @@ class TestModelFileChecks:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # history[t] edited so that it no longer records the served scale; each exited 0
+    # (report marked the unfit record convergent, with cost inf)
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["history"][m["t"]].update(cost=None, q=None, **{"lambda": None}),
+        lambda m: m["history"][m["t"]].update(epsilon_s=2 * m["epsilon_t"]),
+        lambda m: m["history"][m["t"]].update(q=[3 - q for q in m["Q_t"]]),
+        lambda m: m["history"][m["t"]].update(**{"lambda": [2 * v for v in m["Lambda_t"]]}),
+        lambda m: m["history"][m["t"]]["points"][0].__setitem__(0, m["X_t"][0][0] + 0.5),
+    ], ids=["unfit", "epsilon_s", "q", "lambda", "a point"])
+    @pytest.mark.parametrize("command", ["mean", "ci", "report"])
+    def test_served_scale_unlike_its_record_exits_one_and_writes_nothing(
+            self, tmp_path, capsys, served, edit, command):
+        code, model, out = _run_edited(tmp_path, served, edit, command)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(model) in err and "invalid model: needs history[" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_y_t_of_another_length_is_read(self, tmp_path, served):
         # a model served at a scale other than t keeps the winner's Y_t
         code, _, out = _run_edited(tmp_path, served, lambda m: m["Y_t"].pop(), "ci")
@@ -526,6 +547,40 @@ class TestOverflowingMean:
         assert not out.exists()
 
 
+class TestTooLargeForMemory:
+    # 10^11 query points (745 GiB) fail to allocate at once; the error was uncaught
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_exits_two_and_writes_nothing(self, tmp_path, capsys, served, command):
+        payload, train = served
+        model, out = tmp_path / "model.json", tmp_path / "out"
+        model.write_text(json.dumps(payload))
+        outputs = {"predict": ["--out", str(out)],
+                   "report": ["--data", str(train), "--has-header", "--out-dir", str(out)]}
+        code = _run(command, "--model", str(model), "--grid=-500:500:100000000000",
+                    *outputs[command])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "out of memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def _finite_outputs(command, out, history) -> bool:
+    """Whether every number ``command`` wrote to ``out`` is finite, bar the inf
+    cost of an unfit scale (one with no q and lambda) in a report's cost curve."""
+    if command == "fit":  # a model file that loads holds finite numbers, bar null costs
+        return load_model(out) is not None
+    for path in sorted(out.glob("*.csv")) if command == "report" else [out]:
+        text = path.read_text().splitlines()
+        meta = [ln.split("=", 1)[1] for ln in text if ln.startswith("#")]
+        rows = [ln.split(",") for ln in text[len(meta) + 1:]]
+        if path.name == "cost_curve.csv":
+            rows = [row[:4] + row[5:] if row[4] == "inf" and rec.q is None
+                    and rec.lam is None else row for row, rec in zip(rows, history)]
+        if not all(math.isfinite(float(c)) for c in meta + [c for row in rows for c in row]):
+            return False
+    return True
+
+
 class TestModelFileFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -537,12 +592,136 @@ class TestModelFileFuzz:
         if code != 0:
             assert not out.exists()
             return
-        history = load_model(model)[0].history
-        for path in sorted(out.glob("*.csv")) if command == "report" else [out]:
-            text = path.read_text().splitlines()
-            meta = [ln.split("=", 1)[1] for ln in text if ln.startswith("#")]
-            rows = [ln.split(",") for ln in text[len(meta) + 1:]]
-            if path.name == "cost_curve.csv":  # an unfit scale, with no q and lambda, costs inf
-                rows = [row[:4] + row[5:] if row[4] == "inf" and rec.q is None
-                        and rec.lam is None else row for row, rec in zip(rows, history)]
-            assert all(math.isfinite(float(c)) for c in meta + [c for row in rows for c in row])
+        assert _finite_outputs(command, out, load_model(model)[0].history)
+
+
+_CELLS = st.one_of(
+    _NUMBERS.map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.sampled_from(["", " 1", "1e400", "-1e400", "0x1p3", "1_0", '"1"', "﻿0.5", "1;2"]),
+)
+
+
+@st.composite
+def _csv_edits(draw):
+    """One cell of one line (the header included) replaced by any text, one
+    line replaced by any cells, or one line dropped or repeated."""
+    how = draw(st.sampled_from(["cell", "row", "drop", "repeat"]))
+    line, cell = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+    text = draw(_CELLS if how == "cell" else st.lists(_CELLS, max_size=4).map(",".join))
+
+    def edit(lines):
+        i = line % len(lines)
+        if how == "drop":
+            del lines[i]
+        elif how == "repeat":
+            lines.insert(i, lines[i])
+        elif how == "row":
+            lines[i] = text
+        else:
+            cells = lines[i].split(",")
+            cells[cell % len(cells)] = text
+            lines[i] = ",".join(cells)
+
+    return edit
+
+
+_FLOAT_TEXT = st.one_of(st.floats().map(repr), st.sampled_from(["0", "1", "-1", "x", ""]))
+# a count no machine can hold fails to allocate at once; every other count is small
+_AXIS = st.tuples(_FLOAT_TEXT, _FLOAT_TEXT,
+                  (st.integers(-3, 50) | st.sampled_from([10**11, 10**12])).map(str))
+_GRID = st.lists(_AXIS.map(":".join), min_size=1, max_size=2).map(",".join)
+_NAN_INF = st.sampled_from([math.nan, math.inf, -math.inf])
+# fit settings outside their ranges, so no drawn value starts a fit of unknown size
+_FIT_FLAGS = {
+    "--n": st.integers(-10, 1),
+    "--noise": st.floats(max_value=0.0, exclude_max=True) | _NAN_INF,
+    "--M": st.floats(max_value=1.0) | _NAN_INF,
+    "--phi": st.floats(max_value=0.0) | st.floats(min_value=1.0) | _NAN_INF,
+    "--seed": st.integers(max_value=-1),
+    "--k-extra": st.integers(max_value=-1),
+    "--max-scales": st.integers(max_value=0),
+    "--T": st.floats(max_value=0.0) | _NAN_INF,
+    "--range": st.tuples(st.floats(), st.floats()).filter(lambda b: not b[0] < b[1])
+                 .map(lambda b: f"{b[0]!r}:{b[1]!r}"),
+}
+
+
+@st.composite
+def _input_cases(draw):
+    """(command, edited file, CSV edit, argv): the training or query CSV with one
+    edit, or one flag drawn from outside its range or near its edge.  ``argv``
+    maps the paths (model, training CSV, query CSV, edited copy, output) to the
+    command line; the training and query files have a header."""
+    case = draw(st.sampled_from(["train", "query", "flag"]))
+    if case == "flag":
+        flag = draw(st.sampled_from(["--grid", "--ci", "--alpha", "report --grid", *_FIT_FLAGS]))
+        if flag in _FIT_FLAGS:
+            value = draw(_FIT_FLAGS[flag])
+            return "fit", None, None, lambda p: [
+                "fit", "--synth", "schwefel1d", "--n", "60", "--noise", "25",
+                f"{flag}={value!s}", "--out", p.out]
+        value = draw(_GRID if flag.endswith("--grid") else _FLOAT_TEXT)
+        command = {"--grid": "mean", "--ci": "ci"}.get(flag, "report")
+        return command, None, None, lambda p: {
+            "--grid": ["predict", "--model", p.model, f"--grid={value}", "--out", p.out],
+            "--ci": ["predict", "--model", p.model, "--grid=-500:500:7", f"--ci={value}",
+                     "--data", p.train, "--has-header", "--out", p.out],
+            "--alpha": ["report", "--model", p.model, f"--alpha={value}", "--data", p.train,
+                        "--has-header", "--out-dir", p.out],
+            "report --grid": ["report", "--model", p.model, f"--grid={value}", "--data",
+                              p.train, "--has-header", "--out-dir", p.out],
+        }[flag]
+    edit = draw(_csv_edits())
+    if case == "train":
+        command = draw(st.sampled_from(["fit", "ci", "report"]))
+        return command, "train", edit, lambda p: {
+            "fit": ["fit", "--data", p.edited, "--has-header", "--out", p.out],
+            "ci": ["predict", "--model", p.model, "--grid=-500:500:7", "--ci", "0.1",
+                   "--data", p.edited, "--has-header", "--out", p.out],
+            "report": ["report", "--model", p.model, "--data", p.edited, "--has-header",
+                       "--out-dir", p.out],
+        }[command]
+    command = draw(st.sampled_from(["mean", "ci"]))
+    return command, "query", edit, lambda p: [
+        "predict", "--model", p.model, "--query", p.edited, "--has-header",
+        *(["--ci", "0.1", "--data", p.train] if command == "ci" else []), "--out", p.out]
+
+
+_Paths = collections.namedtuple("_Paths", "model train query edited out")
+
+
+class TestInputFuzz:
+    """One cell or row of a training or query CSV edited, or one flag drawn from
+    outside its range: the exit code is 0, 1 or 2, a nonzero exit leaves no
+    output, and exit 0 writes only finite numbers."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_input_cases())
+    def test_edited_input_or_flag_exits_cleanly(self, tmp_path, served, case):
+        command, target, edit, argv = case
+        payload, train = served
+        paths = _Paths(*(str(tmp_path / name) for name in
+                         ("model.json", "train.csv", "query.csv", "edited.csv", "out")))
+        Path(paths.model).write_text(json.dumps(payload))
+        shutil.copyfile(train, paths.train)
+        Path(paths.query).write_text("x_1\n-500.0\n-1.5\n0.0\n3.25\n499.0\n")
+        if edit is not None:
+            lines = Path(getattr(paths, target)).read_text().splitlines()
+            edit(lines)
+            Path(paths.edited).write_text("".join(f"{ln}\n" for ln in lines), encoding="utf-8")
+        out = Path(paths.out)
+        if out.is_dir():
+            shutil.rmtree(out)
+        out.unlink(missing_ok=True)
+        with np.errstate(all="ignore"):
+            try:
+                code = _run(*argv(paths))
+            except SystemExit as exc:  # argparse refuses a flag value this way
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert not out.exists()
+        else:
+            assert _finite_outputs(command, out, load_model(paths.model)[0].history)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hiersparse import predict
 from hiersparse import (
     CSVParseError,
     Dataset,
@@ -263,6 +264,15 @@ class TestWriteCSV:
         write_csv(p, header, table, meta={"alpha": 0.05})
         expected = ["# alpha=0.05", ",".join(header)]
         expected += [",".join(repr(float(v)) for v in row) for row in table]
+        assert p.read_text() == "\n".join(expected) + "\n"
+
+    def test_rows_of_several_blocks_match_cellwise_repr(self, tmp_path):
+        # the array is formatted a block of rows at a time; the text is unchanged
+        p = tmp_path / "o.csv"
+        table = np.random.default_rng(3).standard_normal((2 * predict._BLOCK_ROWS + 5, 3))
+        table[::997] = [-0.0, np.nan, 5e-324]
+        write_csv(p, ["a", "b", "c"], table)
+        expected = ["a,b,c"] + [",".join(repr(float(v)) for v in row) for row in table]
         assert p.read_text() == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])

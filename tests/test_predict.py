@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +28,13 @@ from hiersparse import (
     solve_weights,
 )
 from hiersparse.dataio import model_from_dict, model_to_dict
-from helpers import influence_oracle, kernel_matrix_oracle, make_basis_problem, penalty_oracle
+from helpers import (
+    influence_oracle,
+    kernel_matrix_oracle,
+    make_basis_problem,
+    penalty_oracle,
+    whole_batch_oracle,
+)
 
 
 def _manual_model(X_t, C_t, eps=1.0, lam=(1.0,), q=(1,), n_train=5):
@@ -411,6 +418,50 @@ class TestNoiseFitMemo:
         predict_intervals(model, ds, X_m[:1])  # fills the memo if it is not already
         got = predict_intervals(model, ds, X_m)
         _assert_same(got, _fresh(model, ds, X_m))
+
+
+def _same_bits(got, expect, name):
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), name
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestServingBlocks:
+    """Queries are served in blocks of ``predict._BLOCK_ROWS`` rows, the last
+    block taking the remainder."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocks=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           d=st.sampled_from([1, 2]))
+    def test_every_field_has_the_bits_of_one_whole_batch(self, blocks, data, seed, d):
+        rows = predict._BLOCK_ROWS
+        tail = data.draw(st.integers(-8, 8) | st.integers(-8, rows - 1), label="tail")
+        ds, model = _served(d)
+        X_m = _queries(d, blocks * rows + tail, seed)
+        expect = whole_batch_oracle(model, ds, X_m, 0.05)
+        got = predict_intervals(model, ds, X_m, 0.05)
+        for f in dataclasses.fields(expect):  # raw bytes: sign bits included
+            _same_bits(getattr(got, f.name), getattr(expect, f.name), f.name)
+        _same_bits(predict_mean(model, X_m), expect.mean, "predict_mean")
+        _same_bits(predict_std(model, ds, X_m), expect.std, "predict_std")
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_peak_memory_is_a_few_blocks_of_basis(self, d):
+        # the whole 10-block basis (two buffers of it for d >= 2) exceeded this
+        ds, model = _served(d)
+        X_m = _queries(d, 10 * predict._BLOCK_ROWS + 5)
+        predict_intervals(model, ds, X_m[:1])  # the noise fit is per dataset, not per batch
+        block, column = predict._BLOCK_ROWS * len(model.X_t) * 8, len(X_m) * 8
+        assert _peak_bytes(lambda: predict_mean(model, X_m)) <= 4 * block + 2 * column
+        assert _peak_bytes(lambda: predict_intervals(model, ds, X_m)) <= 4 * block + 6 * column
 
 
 class TestNoDensePenalty:

@@ -1,4 +1,6 @@
-"""The experiment scripts run end to end and write their tables."""
+"""The scripts run end to end and write their tables; the benchmark recorder
+parses canned benchmark output."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -81,3 +83,51 @@ def test_fit_fingerprint_repeats_its_line():
     assert [line.split()[0] for line in runs[0]] == names
     assert runs[0][0].startswith("serve_cli-11 t=") and " fit=" in runs[0][0]
     assert all(" files=" in line and " cli=" in line for line in runs[0][1:])
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the shape of one `perfbench/run.py` output, with made-up figures
+_BENCH_OUTPUT = """\
+# env {"nproc": 2, "blas": "scipy-openblas 0.3.31", "blas_threads": 1, "python": "3.11.7"}
+# reference sample median by stretch (s) [0.01, 0.01]
+# fit wall times (s) [0.3, 0.31]
+# fingerprint {"t": 4, "Q_t": [1, 1]}
+# served scale 4
+{"correct": true, "attempted": 12, "failed": 0, "metrics": \
+{"fit_s": {"value": FIT, "unit": "s"}, "peak_rss_mb": {"value": 92.5, "unit": "MiB"}}}
+"""
+
+
+def test_bench_record_keeps_every_run_and_its_quartiles():
+    bench = _bench_record()
+    record = {"label": "x"}
+    for fit_s in (3.0, 1.0, 2.0, 4.0):
+        bench.add_run(record, "fit2d", *bench.parse_run(_BENCH_OUTPUT.replace("FIT", str(fit_s))))
+    assert record["env"]["blas"] == "scipy-openblas 0.3.31"
+    entry = record["workloads"]["fit2d"]
+    assert [run["metrics"]["fit_s"] for run in entry["runs"]] == [3.0, 1.0, 2.0, 4.0]
+    assert entry["runs"][0] == {"correct": True, "attempted": 12, "failed": 0,
+                                "metrics": {"fit_s": 3.0, "peak_rss_mb": 92.5},
+                                "fingerprint": {"t": 4, "Q_t": [1, 1]}}
+    assert entry["summary"]["fit_s"] == {"unit": "s", "runs": 4, "median": 2.5,
+                                         "q1": 1.75, "q3": 3.25}
+    assert entry["summary"]["peak_rss_mb"]["median"] == 92.5
+
+
+def test_bench_record_refuses_another_environment_and_a_missing_env_line():
+    bench = _bench_record()
+    record = {"label": "x"}
+    bench.add_run(record, "fit2d", *bench.parse_run(_BENCH_OUTPUT.replace("FIT", "1.0")))
+    other = _BENCH_OUTPUT.replace('"nproc": 2', '"nproc": 4').replace("FIT", "1.0")
+    with pytest.raises(ValueError, match="environment"):
+        bench.add_run(record, "fit2d", *bench.parse_run(other))
+    with pytest.raises(ValueError, match="env"):
+        bench.parse_run(_BENCH_OUTPUT.split("\n", 1)[1].replace("FIT", "1.0"))
+    assert len(record["workloads"]["fit2d"]["runs"]) == 1
