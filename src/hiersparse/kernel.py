@@ -91,15 +91,38 @@ def length_scale(T: float, M: float, s: int) -> float:
     return T / M**s
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # in place, in a len(B) x len(A) buffer returned transposed: long contiguous passes
+# entries per tile of rows of B (256 KiB): for d >= 2 a tile's passes run in cache.
+# d = 1 is one tile: a 1-D tile loop cost about 10% on wide batches
+_TILE = 32768
+
+
+def _sq_distances(A: np.ndarray, B: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+    """``||a_j - b_i||^2`` in a len(B) x len(A) buffer filled a tile of rows at a time,
+    returned transposed; with ``epsilon``, each tile then becomes ``exp(-d2 / epsilon)``."""
     At, Bt = A.T.copy(), B.T.copy()
-    out = At[0] - Bt[0][:, None]
-    np.square(out, out=out)
-    term = np.empty_like(out) if A.shape[1] > 1 else None
-    for k in range(1, A.shape[1]):
-        np.subtract(At[k], Bt[k][:, None], out=term)
-        out += np.square(term, out=term)
+    (d, m), l = At.shape, len(B)
+    out = np.empty((l, m))
+    rows = l if d == 1 else max(_TILE // max(m, 1), 1)
+    term = np.empty((min(rows, l), m)) if d > 1 else None
+    # numpy 2.4 runs a broadcast subtraction about 3x slower per entry when its ufunc
+    # buffer holds three or more rows: from 64 columns, use a one-row buffer (per thread)
+    narrow = 64 <= m <= np.getbufsize() // 3
+    size = np.setbufsize(m // 16 * 16) if narrow else None
+    try:
+        for r in range(0, l, rows):
+            tile = out[r:r + rows]
+            np.subtract(At[0], Bt[0, r:r + rows, None], out=tile)
+            np.square(tile, out=tile)
+            for k in range(1, d):
+                t = term[:len(tile)]
+                np.subtract(At[k], Bt[k, r:r + rows, None], out=t)
+                tile += np.square(t, out=t)
+            if epsilon is not None:
+                np.divide(tile, -epsilon, out=tile)
+                np.exp(tile, out=tile)
+    finally:
+        if narrow:
+            np.setbufsize(size)
     return out.T
 
 
@@ -109,7 +132,8 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, epsilon: float) -> np.ndarray:
     Squared distances are summed from direct coordinate differences, so an exact
     common shift of A and B changes no entry, and as fl(a - b) = -fl(b - a) the
     kernel of X with itself is exactly symmetric with unit diagonal.  The result
-    is in Fortran order, one pass per coordinate: d >= 3 costs d passes per entry.
+    is in Fortran order.  Each entry costs 3d + 1 passes; for d >= 2 they run on
+    tiles of about 256 KiB of rows of B in cache, and a tile is the only temporary.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -119,9 +143,7 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, epsilon: float) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("nonfinite coordinates")
-    K = _sq_distances(A, B)
-    np.divide(K, -epsilon, out=K)
-    return np.exp(K, out=K)
+    return _sq_distances(A, B, epsilon)
 
 
 def gram(X: np.ndarray, epsilon_s: float) -> np.ndarray:

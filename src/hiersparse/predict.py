@@ -48,10 +48,8 @@ class PredictionSet:
 # takes the remainder (between _BLOCK_ROWS and 2 _BLOCK_ROWS - 1 rows): with
 # OpenBLAS a separate short tail changes the last bits of the mean (GEMV, tails
 # of 1-3 rows) and of the std (xTRMM, tails under about 256 rows that are not a
-# multiple of 8), so every row gets the bits of a whole-batch call.  Narrower
-# blocks are slower: with numpy 2.4 the kernel's broadcast subtraction runs
-# about 3x slower per entry at 2560 columns or fewer than at 3072 or more, which
-# cost 2048-row blocks about 18% of 1-D mean throughput on 10 000 queries.
+# multiple of 8), so every row gets the bits of a whole-batch call, as verified
+# at this size.  1024- and 2048-row blocks serve no slower (ROADMAP item 8).
 _BLOCK_ROWS = 3072
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hiersparse import (
     length_scale,
     numerical_rank,
 )
+from hiersparse.kernel import _TILE
 from helpers import brute_force_max_distance
 
 
@@ -26,6 +29,17 @@ def _kernel_loop(A, B, eps):
                 sq += diff * diff
             out[i, j] = np.exp(-sq / eps)
     return out
+
+
+def _kernel_pairs(A, B, eps):
+    """``_kernel_loop``'s operations on the flat list of (i, j) pairs, in 1-D
+    arrays: no broadcast and no tiles, for sizes the scalar loop is too slow for."""
+    a, b = np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))
+    sq = np.zeros(len(a))
+    for k in range(A.shape[1]):
+        diff = a[:, k] - b[:, k]
+        sq += diff * diff
+    return np.exp(-sq / eps).reshape(len(A), len(B))
 
 
 def _dyadic(rng, rows, d):
@@ -132,10 +146,10 @@ class TestGram:
         assert G[0, 2] == pytest.approx(np.exp(-4.0), rel=1e-14)
         assert G[1, 2] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
-    def test_exactly_symmetric(self):
-        rng = np.random.default_rng(0)
-        G = gram(rng.standard_normal((30, 3)), 2.0)
-        assert np.array_equal(G, G.T)
+    @pytest.mark.parametrize("n, d", [(30, 3), (200, 2), (1000, 3)])  # 1, 2 and 32 tiles
+    def test_exactly_symmetric(self, n, d):
+        G = gram(np.random.default_rng(n).standard_normal((n, d)), 2.0)
+        assert np.array_equal(G, G.T) and np.all(np.diag(G) == 1.0)
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -162,6 +176,28 @@ class TestGram:
         for P, Q in ((A, A), (A, B - 1e3), (B, A + 1e3)):
             for eps in (0.37, 2.0, 1e4):
                 assert np.array_equal(kernel_matrix(P, Q, eps), _kernel_loop(P, Q, eps))
+                assert np.array_equal(_kernel_pairs(P, Q, eps), _kernel_loop(P, Q, eps))
+        # query counts m on both sides of 16, and of 64 and 8192 // 3 where the one-row
+        # buffer starts and stops at numpy's default; centre counts l of one row, one
+        # tile, one tile + 1 and several tiles with a tail
+        for m in (1, 15, 16, 17, 63, 64, 1000, 2559, 2560, 2730, 2731, 3072, 3073):
+            tile = _TILE // m
+            Q = rng.uniform(-3.0, 5.0, size=(m, d))
+            for l in (1, tile, tile + 1, 3 * tile + 2):
+                C = rng.uniform(-3.0, 5.0, size=(l, d))
+                assert np.array_equal(kernel_matrix(Q, C, 0.37), _kernel_pairs(Q, C, 0.37))
+
+    def test_temporaries_stay_within_one_tile(self):
+        rng = np.random.default_rng(3)
+        Q, C = rng.uniform(-1, 1, size=(3072, 2)), rng.uniform(-1, 1, size=(205, 2))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(Q, C, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, one tile of squared differences and the transposed inputs
+        assert peak <= K.nbytes + 8 * _TILE + 2**17
 
     @given(seed=st.integers(0, 2**16), d=st.integers(1, 3), shift=_SHIFTS,
            eps=st.floats(1e-3, 1e3))
@@ -176,6 +212,33 @@ class TestGram:
     def test_kernel_matrix_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernel_matrix(np.zeros((2, 1)), np.zeros((2, 2)), 1.0)
+
+
+class TestBufferSize:
+    """The kernel narrows numpy's ufunc buffer for narrow batches and must hand
+    the caller's setting back, also when the call raises."""
+
+    @pytest.mark.parametrize("size", [8192, 16, 2**16])  # numpy's default first
+    def test_callers_buffer_size_restored(self, size):
+        saved = np.setbufsize(size)
+        try:
+            X = np.random.default_rng(4).uniform(-1, 1, size=(1000, 2))
+            kernel_matrix(X, X[:300], 0.5)
+            assert np.getbufsize() == size
+            gram(X[:700], 0.5)
+            assert np.getbufsize() == size
+            diameter_T(X)
+            assert np.getbufsize() == size
+            for bad in (np.ones((500, 2)), 1e300 * X):
+                with pytest.raises(DegenerateGeometryError):
+                    diameter_T(bad)
+                assert np.getbufsize() == size
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError):
+                    kernel_matrix(1e300 * X, X[:300], 0.5)
+                assert np.getbufsize() == size
+        finally:
+            np.setbufsize(saved)
 
 
 class TestNumericalRank:
