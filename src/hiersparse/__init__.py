@@ -16,7 +16,6 @@ from .errors import (
     DegenerateGeometryError,
     FitError,
     IllConditionedScaleError,
-    ScaleUnfitError,
 )
 from .hierarchy import ScaleRecord, SparseModel, compression_ratio, fit
 from .kernel import (
@@ -78,7 +77,6 @@ __all__ = [
     "RepresenterOracle",
     "ScaleBasis",
     "ScaleRecord",
-    "ScaleUnfitError",
     "SparseModel",
     "SynthSpec",
     "compression_ratio",

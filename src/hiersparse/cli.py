@@ -186,6 +186,8 @@ def cmd_predict(args) -> int:
     model = _read_model(args.model)
     if args.query and args.grid:
         raise UsageError("give either --query or --grid, not both")
+    if args.data and args.ci is None:
+        raise UsageError("--data is read only for intervals: give --ci ALPHA too")
     if args.query:
         X_m = read_points_csv(args.query, has_header=args.has_header)
     elif args.grid:
@@ -212,6 +214,8 @@ def cmd_predict(args) -> int:
 
 def cmd_report(args) -> int:
     model = _read_model(args.model)
+    if args.grid and not args.data:
+        raise UsageError("--grid sets the prediction band's points, which needs --data")
     if args.data:  # the band comes first, so bad input leaves no file behind
         dataset = ingest_csv(args.data, has_header=args.has_header)
         X_m = _parse_grid(args.grid) if args.grid else _default_grid(model)

@@ -133,16 +133,15 @@ def _record_rules(rec: ScaleRecord, i: int, d: int) -> list:
 
 def _check_model(model: SparseModel) -> SparseModel:
     """``model``, or ``ValueError`` naming the first rule of a model file it breaks
-    (Y_t, which no prediction reads, need not match X_t's length)."""
-    X, Lam = model.X_t, model.Lambda_t
+    (Y_t, which no prediction reads, need not match X_t's length).  The served
+    scale's epsilon_t, X_t, Lambda_t and Q_t are checked once, as equal to those
+    of the fit record ``history[t]``, whose rules bound them."""
+    X = model.X_t
     m, d = X.shape if X.ndim == 2 else (0, 0)
-    finite = all(np.isfinite(a).all() for a in (X, model.Y_t, model.C_t, Lam))
     rules = [
         (m >= 1 and d >= 1, "X_t a nonempty m x d table"),
         (model.C_t.shape == (m,), "C_t of length m"),
-        (Lam.shape == (d,) and len(model.Q_t) == d, "Lambda_t and Q_t of length d"),
-        (finite, "X_t, Y_t, C_t and Lambda_t finite"),
-        (np.all(Lam > 0) and set(model.Q_t) <= {1, 2}, "Lambda_t > 0 and Q_t in {1, 2}"),
+        (np.isfinite(model.Y_t).all() and np.isfinite(model.C_t).all(), "Y_t and C_t finite"),
         (0.0 < model.epsilon_t < math.inf, "epsilon_t finite and > 0"),
         (model.n_train >= m, "n_train >= m"),
         (0 <= model.t < len(model.history), "t an index of history"),
@@ -154,7 +153,7 @@ def _check_model(model: SparseModel) -> SparseModel:
         rules += [
             (rec.cost < math.inf, f"{at} fit (a finite cost)"),
             (rec.epsilon_s == model.epsilon_t and rec.q == model.Q_t
-             and np.array_equal(rec.lam, Lam) and np.array_equal(rec.points, X),
+             and np.array_equal(rec.lam, model.Lambda_t) and np.array_equal(rec.points, X),
              f"{at}.epsilon_s, q, lambda and points equal to epsilon_t, Q_t, Lambda_t and X_t"),
         ]
     for ok, rule in rules:

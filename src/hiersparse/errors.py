@@ -14,10 +14,6 @@ class DegenerateGCVError(ArithmeticError):
     full-rank interpolation); exclude the zero-penalty point from search."""
 
 
-class ScaleUnfitError(RuntimeError):
-    """Every (penalty order, weight) candidate at a scale was degenerate."""
-
-
 class FitError(RuntimeError):
     """No scale in the sweep produced a usable fit."""
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, ScaleUnfitError
+from .errors import FitError
 from .kernel import Dataset, diameter_T, gram, length_scale, numerical_rank
-from .network import FittedScale, optimize_gcv
+from .network import optimize_gcv
 from .sparsify import pivoted_qr_permutation, select_basis, sketch
 
 
@@ -75,8 +75,8 @@ def fit(
     selects l_s representative points by sketched column-pivoted QR (sketch
     seeded with ``seed + s``), and optimizes the network.  The sweep stops
     once l_s reaches the number of distinct points in X (the Gram rank cannot
-    exceed it) or ``max_scales`` scales have been fit.  A scale whose
-    optimization degenerates is recorded with infinite cost and skipped.
+    exceed it) or ``max_scales`` scales have been fit.  An unfit scale is
+    recorded as ``optimize_gcv`` returns it (cost +inf, lam and q None).
     Out-of-range or mistyped settings (a bool, or a non-integer ``max_scales``,
     ``seed`` or ``k_extra``) raise a ``ValueError`` before any Gram matrix is built.
     The sketch's Gaussian matrix meets the rows in dataset order, so permuting
@@ -109,10 +109,7 @@ def fit(
         del G  # the basis holds copies of its columns; the search never reads G
         centers = X[basis.selected]
         comp = compression_ratio(l_s, n)
-        try:
-            fs = optimize_gcv(basis.B, Y, centers, n)
-        except ScaleUnfitError:
-            fs = FittedScale(theta=None, lam=None, q=None, cost=np.inf)
+        fs = optimize_gcv(basis.B, Y, centers, n)
         history.append(
             ScaleRecord(s, eps, l_s, comp, fs.cost, fs.lam, fs.q, scale_seed, centers)
         )

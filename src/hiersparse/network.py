@@ -32,7 +32,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dsygst, dtrtri
 
-from .errors import DegenerateGCVError, IllConditionedScaleError, ScaleUnfitError
+from .errors import DegenerateGCVError, IllConditionedScaleError
 from .kernel import kernel_matrix
 from .penalty import component_action, penalty_band, weighted_penalty
 
@@ -55,11 +55,11 @@ _TRACE_BLOCKS = 4
 
 @dataclass
 class FittedScale:
-    """Optimized network at one scale: weights, hyperparameters, diagnostics."""
+    """Optimized network at one scale; an unfit one has cost +inf, the rest None."""
 
-    theta: np.ndarray
-    lam: np.ndarray
-    q: tuple[int, ...]
+    theta: np.ndarray | None
+    lam: np.ndarray | None
+    q: tuple[int, ...] | None
     cost: float
 
 
@@ -436,16 +436,15 @@ def _grid_line(B, Y, C, centers, n, q, grid):
     return (line, grid[k], costs[k]) if np.isfinite(costs[k]) else (None, None, np.inf)
 
 
-def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray, float]:
+def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray | None, float]:
     """``optimize_lambda`` for orders ``q`` with C = B^T B and, for d >= 2,
     the thin-QR factor R of B and the log10 ``seed`` on the diagonal from
     ``_searches`` (None when the seed line was degenerate)."""
     d = len(q)
-    unfit = 10.0 ** np.zeros(d), np.inf
-    if d == 1:  # Newton on ``_GCVSurface`` gave the same t and Q_t, 1.9x slower
+    if d == 1:  # Newton on ``_GCVSurface`` gave the same t and Q_t, 1.9-2.2x slower
         line, point, best_cost = _grid_line(B, Y, C, centers, n, q, LOG_LAMBDA_SEEDS)
         if line is None:
-            return unfit
+            return None, np.inf
         step = LOG_LAMBDA_SEEDS[1] - LOG_LAMBDA_SEEDS[0]
         for _ in range(REFINE_PASSES):
             lo, hi = np.clip([point - step, point + step], *LOG_LAMBDA_BOUNDS)
@@ -456,7 +455,7 @@ def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray, float]:
         return 10.0 ** np.asarray([point]), best_cost
 
     if seed is None:
-        return unfit
+        return None, np.inf
     surface = _GCVSurface(B, Y, C, R, centers, n, q)
     rho = np.full(d, seed)
     found = _floor_points(surface, rho)
@@ -466,9 +465,7 @@ def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray, float]:
         cost, rho = min(found, key=lambda point: point[0])
         if not cost < end.cost:
             break
-    if not np.isfinite(cost):
-        return unfit
-    return 10.0**rho, cost
+    return (10.0**rho, cost) if np.isfinite(cost) else (None, np.inf)
 
 
 def _searches(B, Y, C, centers, n, combos) -> list:
@@ -492,14 +489,14 @@ def _prepared(B, Y, centers):
 
 def optimize_lambda(
     B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int, q: tuple[int, ...]
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray | None, float]:
     """Best positive weights for fixed penalty orders ``q``.
 
     Returns (Lambda, cost) with log10 Lambda inside ``LOG_LAMBDA_BOUNDS``;
     cost is the ``gcv`` score at Lambda (for d = 1 the pencil line's, which
     drifts from it as lam grows: on the 17 d = 1 benchmark fits by up to
-    3.2e-9 relative at the winning scales, 1.6e-6 at any), +inf when every
-    candidate was degenerate.  For every d, one ``_PencilLine`` along
+    3.2e-9 relative at the winning scales, 1.6e-6 at any); (None, inf) when
+    every candidate was degenerate.  For every d, one ``_PencilLine`` along
     Psi_1 + ... + Psi_d, anchored at the box floor, scores the diagonal
     lambda_1 = ... = lambda_d on the log10 grid ``LOG_LAMBDA_SEEDS``.
 
@@ -530,14 +527,15 @@ def optimize_gcv(B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int) -> F
 
     B^T B and, for d >= 2, the thin-QR factor R of B are shared by every
     combination's search (``_searches``); each search holds only the band of
-    its own components Psi_i, and no dense Psi_i or P is formed.
+    its own components Psi_i, and no dense Psi_i or P is formed.  When every
+    combination is degenerate the scale is unfit: cost +inf, the rest None.
     """
     B, Y, centers, C = _prepared(B, Y, centers)
     combos = list(itertools.product((1, 2), repeat=centers.shape[1]))
     candidates = [(*found, q) for found, q in zip(_searches(B, Y, C, centers, n, combos), combos)]
     lam, cost, q = min(candidates, key=lambda c: c[1])
-    if not np.isfinite(cost):
-        raise ScaleUnfitError("every penalty candidate was degenerate at this scale")
+    if lam is None:
+        return FittedScale(theta=None, lam=None, q=None, cost=np.inf)
 
     # the weights solve the winner's system, from its band, bit for bit as
     # ``solve_weights`` does from the dense P

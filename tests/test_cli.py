@@ -2,7 +2,10 @@ import collections
 import copy
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hiersparse
 from hiersparse import predict_intervals, predict_mean
 from hiersparse.cli import main
 from hiersparse.dataio import ingest_csv, load_model
@@ -84,6 +88,15 @@ class TestFit:
         )
         assert code == 1
         assert "--range" in capsys.readouterr().err
+
+    def test_module_entry_point_prints_the_version(self):
+        src = str(Path(hiersparse.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "hiersparse", "--version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == hiersparse.__version__
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -249,6 +262,15 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "training data" in err
 
+    def test_data_without_ci_is_usage_error(self, tmp_path, capsys):
+        model_path, _, _ = _fit_files(tmp_path, n=60)
+        out = tmp_path / "x.csv"
+        code = _run("predict", "--model", str(model_path), "--grid=-1:1:5",
+                    "--data", str(tmp_path / "nosuch.csv"), "--out", str(out))
+        assert code == 1
+        assert "--data" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["1.5", "nan", "0"])
     def test_out_of_range_ci_is_usage_error(self, tmp_path, capsys, alpha):
         model_path, _, train = _fit_files(tmp_path, n=60)
@@ -316,6 +338,15 @@ class TestReport:
         assert code == 0
         assert not (out_dir / "prediction_band.csv").exists()
         assert "skipped" in capsys.readouterr().out
+
+    def test_grid_without_data_is_usage_error(self, tmp_path, capsys):
+        model_path, _, _ = _fit_files(tmp_path, n=60)
+        out_dir = tmp_path / "rep"
+        code = _run("report", "--model", str(model_path), "--out-dir", str(out_dir),
+                    "--grid=-1:1:5")
+        assert code == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_data_file_writes_nothing(self, tmp_path):
         model_path, _, _ = _fit_files(tmp_path, n=60)
@@ -392,8 +423,9 @@ def _run_edited(root, served, edit, command):
 
 
 class TestModelFileChecks:
-    # one field of a valid file edited; each edit exited 0 (the last three read
-    # through int, which truncates), 2 or raised before the check
+    # one field of a valid file edited; each of the first nine exited 0 (the
+    # last three of them read through int, which truncates), 2 or raised before
+    # the check; the last four break a rule that history[t]'s record states
     @pytest.mark.parametrize("edit", [
         lambda m: m["C_t"].__setitem__(0, math.nan),
         lambda m: m["C_t"].pop(),
@@ -404,8 +436,13 @@ class TestModelFileChecks:
         lambda m: m.update(Q_t=[1.5]),
         lambda m: m.update(t=m["t"] + 0.5),
         lambda m: m.update(n_train=m["n_train"] + 0.5),
+        lambda m: m["Lambda_t"].__setitem__(0, math.nan),
+        lambda m: m["Lambda_t"].append(m["Lambda_t"][0]),
+        lambda m: m["Q_t"].append(m["Q_t"][0]),
+        lambda m: m["X_t"][0].__setitem__(0, math.nan),
     ], ids=["nan C_t entry", "C_t one short", "empty X_t and C_t", "Q_t 3", "Lambda_t -1",
-            "epsilon_t -1", "Q_t 1.5", "t + 0.5", "n_train + 0.5"])
+            "epsilon_t -1", "Q_t 1.5", "t + 0.5", "n_train + 0.5", "nan Lambda_t entry",
+            "Lambda_t one long", "Q_t one long", "nan X_t point"])
     @pytest.mark.parametrize("command", ["mean", "ci"])
     def test_refused_file_exits_one_and_writes_nothing(self, tmp_path, capsys, served, edit,
                                                        command):

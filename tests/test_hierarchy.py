@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiersparse.hierarchy as hierarchy_mod
+import hiersparse.network as network_mod
 from hiersparse import (
     Dataset,
     DegenerateGeometryError,
     FitError,
-    ScaleUnfitError,
+    FittedScale,
+    IllConditionedScaleError,
     SynthSpec,
     compression_ratio,
     eval_true,
@@ -315,6 +317,9 @@ class TestNonDyadicScaling:
                 assert _max_rel(b.C_t, c * a.C_t if kind == "Y" else a.C_t) <= tol_c
 
 
+_UNFIT = FittedScale(theta=None, lam=None, q=None, cost=np.inf)
+
+
 class TestFailedScales:
     def test_failed_scale_recorded_with_infinite_cost(self, monkeypatch):
         real = hierarchy_mod.optimize_gcv
@@ -322,9 +327,7 @@ class TestFailedScales:
 
         def flaky(*args, **kwargs):
             calls["i"] += 1
-            if calls["i"] == 2:
-                raise ScaleUnfitError("forced failure")
-            return real(*args, **kwargs)
+            return _UNFIT if calls["i"] == 2 else real(*args, **kwargs)
 
         monkeypatch.setattr(hierarchy_mod, "optimize_gcv", flaky)
         model = fit(_small_dataset(seed=10), seed=10)
@@ -333,9 +336,23 @@ class TestFailedScales:
         assert model.t != 1
 
     def test_all_scales_failing_raises(self, monkeypatch):
-        def always_fail(*args, **kwargs):
-            raise ScaleUnfitError("forced failure")
-
-        monkeypatch.setattr(hierarchy_mod, "optimize_gcv", always_fail)
+        monkeypatch.setattr(hierarchy_mod, "optimize_gcv", lambda *args, **kwargs: _UNFIT)
         with pytest.raises(FitError):
             fit(_small_dataset(seed=11), seed=11)
+
+    def test_unfactorable_systems_leave_every_scale_unfit(self, monkeypatch):
+        def singular(build, jitter):
+            raise IllConditionedScaleError("forced")
+
+        real, records = hierarchy_mod.ScaleRecord, []
+
+        def recording(*args):
+            records.append(real(*args))
+            return records[-1]
+
+        monkeypatch.setattr(network_mod, "_factor", singular)
+        monkeypatch.setattr(hierarchy_mod, "ScaleRecord", recording)
+        with pytest.raises(FitError):
+            fit(_small_dataset(seed=12), seed=12, max_scales=4)
+        assert len(records) == 4
+        assert all(rec.cost == np.inf and rec.lam is None and rec.q is None for rec in records)

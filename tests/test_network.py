@@ -13,7 +13,6 @@ from hiersparse import (
     DegenerateGCVError,
     IllConditionedScaleError,
     PenaltySpec,
-    ScaleUnfitError,
     gcv,
     influence_matrix,
     influence_traces,
@@ -200,7 +199,7 @@ class TestGCV:
                                       (2,))
         assert surface.at(np.zeros(1)).cost == np.inf
         lam, cost = optimize_lambda(B, Y, centers, 2, (2,))
-        assert np.array_equal(lam, np.ones(1)) and cost == np.inf
+        assert lam is None and cost == np.inf
 
     def test_three_point_hand_oracle(self):
         rng = np.random.default_rng(8)
@@ -534,10 +533,9 @@ class TestPenalizedSystemOwner:
 
         monkeypatch.setattr(network, "_factor", singular)
         lam, cost = optimize_lambda(prob["B"], prob["Y"], prob["centers"], n, (1,) * d)
-        assert cost == np.inf
-        assert np.array_equal(lam, np.ones(d))
-        with pytest.raises(ScaleUnfitError):
-            optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
+        assert lam is None and cost == np.inf
+        fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
+        assert fs.theta is None and fs.lam is None and fs.q is None and fs.cost == np.inf
 
     def test_singular_system_is_solved_after_one_jittered_retry(self, monkeypatch):
         # columns 1 and 3 are equal; in integers the third Cholesky pivot is

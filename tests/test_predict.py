@@ -434,6 +434,25 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
+class TestFlatQueries:
+    def test_flat_array_is_one_point_per_entry_in_1d(self):
+        ds, model = _served(1)
+        flat = np.linspace(-1.1, 1.1, 7)
+        column = flat[:, None]
+        _same_bits(predict_mean(model, flat), predict_mean(model, column), "predict_mean")
+        _same_bits(predict_std(model, ds, flat), predict_std(model, ds, column), "predict_std")
+        got, expect = predict_intervals(model, ds, flat), predict_intervals(model, ds, column)
+        for f in dataclasses.fields(expect):
+            _same_bits(getattr(got, f.name), getattr(expect, f.name), f.name)
+
+    def test_flat_array_is_one_point_in_2d(self):
+        ds, model = _served(2)
+        point = np.array([0.3, -0.4])
+        _same_bits(predict_mean(model, point), predict_mean(model, point[None, :]), "mean")
+        with pytest.raises(ValueError, match="query dimension 3"):
+            predict_mean(model, np.zeros(3))
+
+
 class TestServingBlocks:
     """Queries are served in blocks of ``predict._BLOCK_ROWS`` rows, the last
     block taking the remainder."""
