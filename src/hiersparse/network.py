@@ -80,17 +80,11 @@ class RepresenterOracle:
     a: float
 
 
-def _factor(build, jitter: float):
-    """Cholesky of the SPD system ``build()`` returns, in place where its
-    layout allows; one jittered retry, on a fresh build, before giving up."""
+def _factor(S: np.ndarray):
+    """Cholesky of S in one attempt, in place where its layout allows; raises
+    ``IllConditionedScaleError`` if S is not positive definite to working precision."""
     try:
-        return cho_factor(build(), lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        pass
-    try:
-        S = build()
-        return cho_factor(S + jitter * np.eye(S.shape[0]), lower=True, overwrite_a=True,
-                          check_finite=False)
+        return cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise IllConditionedScaleError(
             "penalized normal equations singular to working precision"
@@ -130,7 +124,7 @@ class _PenalizedSystem:
     C = B^T B unless the caller passes it, and w = n except on a pencil
     line's anchor.  P is dense, or a band pair (index, p): P's values p at
     the sorted flat indices ``index``.  ``_assembled`` forms S; S = L L^T by
-    ``_factor`` (one jittered retry; raises ``IllConditionedScaleError``).
+    ``_factor``, one attempt that raises ``IllConditionedScaleError``.
     With R the min(n, l) x l factor of a thin QR of B (R^T R = B^T B; formed
     on the first trace read unless the caller passes it) and
     V = L^{-1} R^T, an l x min(n, l) matrix, U = B S^{-1} B^T
@@ -143,8 +137,7 @@ class _PenalizedSystem:
                  R: np.ndarray | None = None):
         self.B, self.R = B, R
         C = B.T @ B if C is None else C
-        self.factor = _factor(lambda: _assembled(C, P, w),
-                              1e-12 * float(np.trace(C)) / C.shape[0])
+        self.factor = _factor(_assembled(C, P, w))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(self.factor, rhs, check_finite=False)
@@ -529,6 +522,9 @@ def optimize_gcv(B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int) -> F
     combination's search (``_searches``); each search holds only the band of
     its own components Psi_i, and no dense Psi_i or P is formed.  When every
     combination is degenerate the scale is unfit: cost +inf, the rest None.
+    The winner's system is factored once, with no retry: for d >= 2 the
+    search factored it already, and for d = 1 it adds n (lam - lam_floor) Psi,
+    positive semidefinite, to the line's anchor, which factored.
     """
     B, Y, centers, C = _prepared(B, Y, centers)
     combos = list(itertools.product((1, 2), repeat=centers.shape[1]))

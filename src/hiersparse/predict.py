@@ -49,7 +49,7 @@ class PredictionSet:
 # OpenBLAS a separate short tail changes the last bits of the mean (GEMV, tails
 # of 1-3 rows) and of the std (xTRMM, tails under about 256 rows that are not a
 # multiple of 8), so every row gets the bits of a whole-batch call, as verified
-# at this size.  1024- and 2048-row blocks serve no slower (ROADMAP item 8).
+# at this size.  ROADMAP item 13 measures 2048-row blocks against this size.
 _BLOCK_ROWS = 3072
 
 
@@ -114,9 +114,12 @@ def _noise_fit_key(model: SparseModel, dataset: Dataset) -> bytes:
 
 def _noise_fit(model: SparseModel, dataset: Dataset):
     """Inverse Cholesky factor L^{-1} of the full-data penalized system,
-    sigma^2 and dof."""
+    sigma^2 and dof; ``ValueError`` unless the dataset has the model's d and n."""
     if dataset.d != model.X_t.shape[1]:
         raise ValueError("training data dimension does not match model")
+    if dataset.n != model.n_train:
+        raise ValueError(f"training data has {dataset.n} rows, but the model was fit "
+                         f"on {model.n_train}")
     key = _noise_fit_key(model, dataset)
     noise = _NOISE_FIT_MEMO.get(key)
     if noise is None:

@@ -23,6 +23,15 @@ def _run(*argv):
     return main(list(argv))
 
 
+def _module_run(*argv, cwd=None):
+    """``python -m hiersparse ARGV`` in a fresh interpreter that imports this package."""
+    src = str(Path(hiersparse.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hiersparse", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+
+
 def _fit_files(tmp_path, seed=7, n=120):
     model = tmp_path / "model.json"
     report = tmp_path / "scales.csv"
@@ -90,13 +99,18 @@ class TestFit:
         assert "--range" in capsys.readouterr().err
 
     def test_module_entry_point_prints_the_version(self):
-        src = str(Path(hiersparse.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "hiersparse", "--version"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = _module_run("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == hiersparse.__version__
+
+    def test_module_entry_point_exits_one_on_a_refused_command(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text("x_1,y\n0.0,1.0\n0.5,2.0\n1.0,0.5\n")
+        proc = _module_run("predict", "--model", str(train), "--grid=0:1:3", "--out", "x.csv",
+                           cwd=tmp_path)
+        assert proc.returncode == 1
+        assert str(train) in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -291,6 +305,20 @@ class TestPredict:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("edit", ["dropped", "repeated"])
+    def test_data_other_than_the_training_set_is_computation_error(self, tmp_path, capsys,
+                                                                     edit):
+        model_path, _, train = _fit_files(tmp_path, n=60)
+        header, *rows = train.read_text().splitlines(keepends=True)
+        rows = rows[1:] if edit == "dropped" else rows + rows[:1]
+        train.write_text(header + "".join(rows))
+        out = tmp_path / "ci.csv"
+        code = _run("predict", "--model", str(model_path), "--grid=-1:1:5", "--ci=0.05",
+                    "--data", str(train), "--has-header", "--out", str(out))
+        assert code == 2
+        assert f"{len(rows)} rows, but the model was fit on 60" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

@@ -341,7 +341,7 @@ class TestFailedScales:
             fit(_small_dataset(seed=11), seed=11)
 
     def test_unfactorable_systems_leave_every_scale_unfit(self, monkeypatch):
-        def singular(build, jitter):
+        def singular(S):
             raise IllConditionedScaleError("forced")
 
         real, records = hierarchy_mod.ScaleRecord, []

@@ -495,10 +495,11 @@ def _counting(monkeypatch, name, calls):
 
 
 class TestPenalizedSystemOwner:
-    @pytest.mark.parametrize("n, d, seed, s", [(60, 1, 3, 3), (80, 2, 4, 2)])
+    @pytest.mark.parametrize("n, d, seed, s", [(60, 1, 3, 3), (80, 2, 4, 2), (25, 3, 13, 1)])
     def test_every_factor_belongs_to_a_penalized_system(self, monkeypatch, n, d, seed, s):
         prob = make_basis_problem(n, d, seed=seed, s=s)
-        factors, systems = [], []
+        choleskys, factors, systems = [], [], []
+        _counting(monkeypatch, "cho_factor", choleskys)
         _counting(monkeypatch, "_factor", factors)
 
         class CountingSystem(network._PenalizedSystem):
@@ -508,7 +509,7 @@ class TestPenalizedSystemOwner:
 
         monkeypatch.setattr(network, "_PenalizedSystem", CountingSystem)
         optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
-        assert len(factors) == len(systems) > 2**d
+        assert len(choleskys) == len(factors) == len(systems) > 2**d
 
     def test_two_derivative_calls_at_one_point_invert_once(self, monkeypatch):
         prob = make_basis_problem(80, 2, seed=4, s=2)
@@ -528,7 +529,7 @@ class TestPenalizedSystemOwner:
     def test_unfactorable_anchor_gives_an_unfit_scale(self, monkeypatch, n, d, seed, s):
         prob = make_basis_problem(n, d, seed=seed, s=s)
 
-        def singular(S, jitter):
+        def singular(S):
             raise IllConditionedScaleError("forced")
 
         monkeypatch.setattr(network, "_factor", singular)
@@ -537,29 +538,21 @@ class TestPenalizedSystemOwner:
         fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], n)
         assert fs.theta is None and fs.lam is None and fs.q is None and fs.cost == np.inf
 
-    def test_singular_system_is_solved_after_one_jittered_retry(self, monkeypatch):
-        # columns 1 and 3 are equal; in integers the third Cholesky pivot is
-        # exactly 0, and the diagonal shift of 1e-12 tr(C) / l makes it positive
+    @pytest.mark.parametrize("singular", [
+        lambda B, Y: solve_weights(B, Y, np.zeros((3, 3)), 4),
+        lambda B, Y: network._PenalizedSystem(B, (np.array([0]), np.array([0.0])), 4),
+    ], ids=["dense", "band"])
+    def test_singular_system_raises_after_one_attempt(self, monkeypatch, singular):
+        # columns 1 and 3 are equal, so in integers the third Cholesky pivot
+        # is exactly 0; no perturbed system is factored in its place
         x = np.arange(4.0)
         B = np.column_stack([np.ones(4), x, np.ones(4)])
         Y = np.array([0.5, 1.5, 1.0, 3.0])
         factors = []
         _counting(monkeypatch, "cho_factor", factors)
-        theta = solve_weights(B, Y, np.zeros((3, 3)), 4)
-        assert len(factors) == 2
-        line = np.polyfit(x, Y, 1)[::-1]
-        assert np.allclose(B @ theta, line[0] + line[1] * x, rtol=0.0, atol=1e-9)
-
-    def test_banded_system_retries_on_a_fresh_build(self, monkeypatch):
-        # the first attempt factors its buffer in place, so the retry rebuilds it
-        x = np.arange(4.0)
-        B = np.column_stack([np.ones(4), x, np.ones(4)])
-        Y = np.array([0.5, 1.5, 1.0, 3.0])
-        factors = []
-        _counting(monkeypatch, "cho_factor", factors)
-        banded = network._PenalizedSystem(B, (np.array([0]), np.array([0.0])), 4)
-        assert len(factors) == 2
-        assert np.array_equal(banded.solve(B.T @ Y), solve_weights(B, Y, np.zeros((3, 3)), 4))
+        with pytest.raises(IllConditionedScaleError):
+            singular(B, Y)
+        assert len(factors) == 1
 
 
 class TestBandedSystem:

@@ -328,9 +328,9 @@ def _count_factorizations(monkeypatch):
     calls = []
     real = network._factor
 
-    def counting(build, jitter):
-        calls.append(build)
-        return real(build, jitter)
+    def counting(S):
+        calls.append(S)
+        return real(S)
 
     monkeypatch.setattr(network, "_factor", counting)
     return calls
@@ -380,6 +380,18 @@ class TestNoiseFitMemo:
         for _ in range(2):
             with pytest.raises(DegenerateDofError):
                 predict_intervals(model, ds, [[0.5]])
+
+    @pytest.mark.parametrize("rows", [np.s_[1:], np.r_[0, 0:60]], ids=["dropped", "repeated"])
+    def test_data_other_than_the_training_set_is_refused(self, monkeypatch, rows):
+        ds, model = _served(1)
+        other = Dataset(X=ds.X[rows], Y=ds.Y[rows])
+        predict._NOISE_FIT_MEMO.clear()
+        calls = _count_factorizations(monkeypatch)
+        for call in (lambda: sigma2_hat(model, other),
+                     lambda: predict_intervals(model, other, _queries(1, 3))):
+            with pytest.raises(ValueError, match=f"{other.n} rows.* on {model.n_train}$"):
+                call()
+        assert calls == [] and predict._NOISE_FIT_MEMO == {}
 
     def test_one_pair_factors_once(self, monkeypatch):
         ds, model = _served(2)
