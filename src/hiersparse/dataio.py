@@ -201,8 +201,8 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
     ``rows`` is a 2-D array or equal-length row lists that may mix ints,
     floats, numpy scalars and strings such as ``"1;2"``.  Columns (an array's
     as Python floats) are formatted whole and zipped into rows: faster than
-    row by row, and the same text.  An array is formatted in blocks of
-    ``_BLOCK_ROWS`` rows, so only one block is held as Python objects.
+    row by row, and the same text.  An array is formatted 1536 rows at a time
+    (``predict._BLOCK_ROWS``), so only one block is held as Python objects.
     """
     if isinstance(rows, np.ndarray):
         blocks = (rows[a:a + _BLOCK_ROWS].T.tolist() for a in range(0, len(rows), _BLOCK_ROWS))

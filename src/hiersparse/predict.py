@@ -10,7 +10,7 @@ repeated interval calls on one (model, dataset) reuse one factorization and
 one inversion, and each batch of queries costs one triangular product.  Only
 the most recent fit is kept, keyed on the content of the arrays it reads.
 
-Queries are served in blocks of ``_BLOCK_ROWS`` rows written into preallocated
+Queries are served in 1536-row blocks (``_BLOCK_ROWS``) written into preallocated
 outputs, so a call holds one block's basis, not the whole m x l query basis:
 serving memory grows with the model, not with the batch.
 """
@@ -44,13 +44,13 @@ class PredictionSet:
     sigma2_hat: float
 
 
-# query rows per serving block.  Edges sit at multiples of it and the last block
-# takes the remainder (between _BLOCK_ROWS and 2 _BLOCK_ROWS - 1 rows): with
-# OpenBLAS a separate short tail changes the last bits of the mean (GEMV, tails
-# of 1-3 rows) and of the std (xTRMM, tails under about 256 rows that are not a
-# multiple of 8), so every row gets the bits of a whole-batch call, as verified
-# at this size.  ROADMAP item 13 measures 2048-row blocks against this size.
-_BLOCK_ROWS = 3072
+# query rows per serving block, a multiple of 256.  Edges sit at multiples of it
+# and the last block takes the remainder (_BLOCK_ROWS to 2 _BLOCK_ROWS - 1 rows):
+# with OpenBLAS a separate short tail changes the last bits of the mean (GEMV,
+# tails of 1-3 rows) and of the std (xTRMM, tails under about 256 rows that are
+# not a multiple of 8), so every row gets the bits of a whole-batch call, as
+# verified at this size, which served fastest over 1-D and 2-D models together.
+_BLOCK_ROWS = 1536
 
 
 def _bases(model: SparseModel, X_m: np.ndarray):

@@ -469,20 +469,33 @@ class TestServingBlocks:
     """Queries are served in blocks of ``predict._BLOCK_ROWS`` rows, the last
     block taking the remainder."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(blocks=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1),
-           d=st.sampled_from([1, 2]))
-    def test_every_field_has_the_bits_of_one_whole_batch(self, blocks, data, seed, d):
-        rows = predict._BLOCK_ROWS
-        tail = data.draw(st.integers(-8, 8) | st.integers(-8, rows - 1), label="tail")
+    @staticmethod
+    def _check_against_whole_batch(d, m, seed):
         ds, model = _served(d)
-        X_m = _queries(d, blocks * rows + tail, seed)
+        X_m = _queries(d, m, seed)
         expect = whole_batch_oracle(model, ds, X_m, 0.05)
         got = predict_intervals(model, ds, X_m, 0.05)
         for f in dataclasses.fields(expect):  # raw bytes: sign bits included
             _same_bits(getattr(got, f.name), getattr(expect, f.name), f.name)
         _same_bits(predict_mean(model, X_m), expect.mean, "predict_mean")
         _same_bits(predict_std(model, ds, X_m), expect.std, "predict_std")
+
+    def test_block_is_a_multiple_of_256_rows(self):
+        # the xTRMM and GEMV tails are whole-batch bits only on such edges
+        assert predict._BLOCK_ROWS > 0 and predict._BLOCK_ROWS % 256 == 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("blocks, tail", [(2, 0), (2, 1), (2, 7), (3, -1)])
+    def test_rows_at_the_block_edges_have_the_bits_of_one_whole_batch(self, d, blocks, tail):
+        self._check_against_whole_batch(d, blocks * predict._BLOCK_ROWS + tail, seed=d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocks=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           d=st.sampled_from([1, 2]))
+    def test_every_field_has_the_bits_of_one_whole_batch(self, blocks, data, seed, d):
+        rows = predict._BLOCK_ROWS
+        tail = data.draw(st.integers(-8, 8) | st.integers(-8, rows - 1), label="tail")
+        self._check_against_whole_batch(d, blocks * rows + tail, seed)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_peak_memory_is_a_few_blocks_of_basis(self, d):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
-from hiersparse import t_quantile
+from hiersparse import confidence_intervals, t_quantile
 
 
 class TestStudentT:
@@ -16,6 +16,7 @@ class TestStudentT:
         assert t_quantile(0.975, 10.0) == pytest.approx(2.228139, abs=1e-6)
 
     def test_large_df_normal_limit(self):
+        assert t_quantile(0.975, float("inf")) == pytest.approx(1.959964, abs=1e-6)
         assert t_quantile(0.975, 1e6) == pytest.approx(1.959966, abs=5e-6)
         assert t_quantile(0.975, 1e6) == pytest.approx(
             float(stats.t.ppf(0.975, 1e6)), abs=1e-6
@@ -47,3 +48,10 @@ class TestStudentT:
             t_quantile(0.0, 5.0)
         with pytest.raises(ValueError):
             t_quantile(0.5, 0.0)
+
+    def test_nan_df_is_refused(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="df"):
+            t_quantile(0.975, nan)
+        with pytest.raises(ValueError, match="df"):
+            confidence_intervals(np.zeros(3), np.ones(3), nan, 0.05)
