@@ -26,13 +26,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ENV_LINE, FINGERPRINT_LINE = "# env ", "# fingerprint "
+ENV_LINE, FINGERPRINT_LINE, FIT_WALL_LINE = "# env ", "# fingerprint ", "# fit wall times (s) "
 
 
 def parse_run(stdout: str) -> tuple[dict, dict, dict]:
     """(environment, units, run) from the output of one ``perfbench/run.py``:
     the env line; each metric's unit; and the result JSON of the last line,
-    with each metric's value and the ``# fingerprint`` line."""
+    with each metric's value, the ``# fingerprint`` line and the raw fit wall
+    times (s) that ``fit_s`` scales."""
     lines = stdout.strip().splitlines()
     env = next((json.loads(ln[len(ENV_LINE):]) for ln in lines if ln.startswith(ENV_LINE)), None)
     if env is None:
@@ -43,6 +44,8 @@ def parse_run(stdout: str) -> tuple[dict, dict, dict]:
     run = {key: result[key] for key in ("correct", "attempted", "failed")}
     run["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     run["fingerprint"] = fingerprint
+    run["fit_wall_s"] = next((json.loads(ln[len(FIT_WALL_LINE):]) for ln in lines
+                              if ln.startswith(FIT_WALL_LINE)), None)
     units = {name: m["unit"] for name, m in result["metrics"].items()}
     return env, units, run
 

@@ -1,0 +1,57 @@
+"""xTRSM and xTRMM of the BLAS that scipy bundles, called without the GIL.
+
+They are the routines of ``scipy.linalg.blas.dtrsm`` and ``dtrmm``, reached through
+the function pointers of ``scipy.linalg.cython_blas``: the same bits, but ctypes
+releases the GIL, which the f2py wrappers hold.  ``submit`` hands one such call to
+a worker thread, made on first use and again in a child after ``fork()``.
+"""
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+from scipy.linalg import cython_blas
+
+_name, _pointer = ctypes.pythonapi.PyCapsule_GetName, ctypes.pythonapi.PyCapsule_GetPointer
+_name.restype, _name.argtypes = ctypes.c_char_p, [ctypes.py_object]
+_pointer.restype, _pointer.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
+
+
+def _routine(name: str):
+    capsule = cython_blas.__pyx_capi__[name]
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(_pointer(capsule, _name(capsule)))
+
+    def call(alpha: float, A, B, trans: bool = False):
+        """B <- alpha op(A)^-1 B (xTRSM) or alpha op(A) B (xTRMM) in place, A lower."""
+        if B.ndim != 2 or A.shape != (len(B), len(B)) or any(a.size and (
+                a.dtype != "float64" or not a.flags.writeable or a.strides[0] != 8
+                or a.strides[1] < 8 * len(a)) for a in (A, B)):
+            raise ValueError("expected writable float64 arrays or column blocks in F order, "
+                             "A square with B's row count")
+        ints = [ctypes.c_int(k) for k in (*B.shape, A.strides[1] // 8, B.strides[1] // 8)]
+        if B.size:  # every integer and alpha by reference, as Fortran takes them
+            routine(b"L", b"L", b"T" if trans else b"N", b"N", *map(ctypes.byref, ints[:2]),
+                    ctypes.byref(ctypes.c_double(alpha)), A.ctypes.data,
+                    ctypes.byref(ints[2]), B.ctypes.data, ctypes.byref(ints[3]))
+        return B
+    return call
+
+
+trsm, trmm = _routine("dtrsm"), _routine("dtrmm")
+_workers = {}  # process id -> its worker: a child after fork() inherits no thread
+
+
+def _cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def submit(fn, *args):
+    """Start fn(*args) on the worker if this process may run on two CPUs, else run it
+    now; returns the call that waits for it.  Give the worker only leaf calls on
+    arrays the caller allocated: an allocating worker grows a second malloc arena."""
+    if _cpus() < 2:
+        fn(*args)
+        return lambda: None
+    pid = os.getpid()
+    worker = _workers.get(pid) or _workers.setdefault(pid, ThreadPoolExecutor(1))
+    return worker.submit(fn, *args).result

@@ -19,6 +19,9 @@ the Newton search's derivatives work with l x l matrices, not l x n ones.
 Every Cholesky factor of a penalized system, and its inverse, comes from
 ``_PenalizedSystem``, here and in ``predict``; every run-time caller gives
 it the penalty as its band (``penalty_band``), never as a dense matrix.
+A Newton point's independent triangular products (column blocks of the trace
+solve, one per penalty dimension in the Hessian) are shared with the ``_blas``
+worker when the process may use two CPUs; none is split, so no bit changes.
 """
 from __future__ import annotations
 
@@ -29,9 +32,9 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dsygst, dtrtri
 
+from . import _blas
 from .errors import DegenerateGCVError, IllConditionedScaleError
 from .kernel import kernel_matrix
 from .penalty import component_action, penalty_band, weighted_penalty
@@ -107,14 +110,18 @@ def _lower_solve(L: np.ndarray, T: np.ndarray) -> np.ndarray:
     """L^{-1} T for lower triangular L and lower trapezoidal T (l x k, k <= l).
 
     Column j of T is zero above row j, and so is column j of the result, so
-    each of ``_TRACE_BLOCKS`` column blocks is solved from its diagonal down.
+    each of ``_TRACE_BLOCKS`` column blocks is solved from its diagonal down, by
+    one xTRSM in place in a copy of T: the first (largest) on the ``_blas`` worker.
     """
-    l, k = T.shape
-    out = np.zeros((l, k), order="F")
-    edges = np.linspace(0, k, _TRACE_BLOCKS + 1).astype(int)
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            out[a:, a:b] = dtrsm(1.0, L[a:, a:], T[a:, a:b], lower=1)
+    out = np.array(T, order="F")
+    edges = np.linspace(0, T.shape[1], _TRACE_BLOCKS + 1).astype(int)
+    blocks = [(L[a:, a:], out[a:, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    first = _blas.submit(_blas.trsm, 1.0, *blocks[0])
+    try:
+        for block in blocks[1:]:
+            _blas.trsm(1.0, *block)
+    finally:
+        first()
     return out
 
 
@@ -311,17 +318,26 @@ class _GCVSurface:
         return point
 
     def derivatives(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the cost in log10 Lambda at ``point``."""
+        """Gradient and Hessian of the cost in log10 Lambda at ``point``.  Each
+        Z_i but the last is formed on the ``_blas`` worker while P_{i+1} A forms."""
         n, d, system = self.n, len(self.actions), point.system
         A = system.V
         del system.V  # A takes V's memory; V is formed again if read
-        A = dtrmm(1.0, system.Linv, A, lower=1, trans_a=1, overwrite_b=1)
+        A = _blas.trmm(1.0, system.Linv, A, trans=True)
         scale = n * point.lam
-        dtau, Z = np.empty(d), []
-        for i, (s_i, act) in enumerate(zip(scale, self.actions)):
-            PA = act(A)  # F-ordered, as A is
-            dtau[i] = -s_i * np.einsum("ij,ij->", A, PA)
-            Z.append(dtrmm(s_i, system.Linv, PA, lower=1, overwrite_b=1))
+        dtau, Z, waits = np.empty(d), [], []
+        try:
+            for i, (s_i, act) in enumerate(zip(scale, self.actions)):
+                PA = act(A)  # F-ordered, as A is
+                dtau[i] = -s_i * np.einsum("ij,ij->", A, PA)
+                Z.append(PA)  # Z_i, once its xTRMM has run in place
+                if i < d - 1:
+                    waits.append(_blas.submit(_blas.trmm, s_i, system.Linv, PA))
+                else:
+                    _blas.trmm(s_i, system.Linv, PA)
+        finally:
+            for wait in waits:
+                wait()
         del A, PA
         d2tau = np.diag(dtau)
         Ptheta = [s_i * act(point.theta) for s_i, act in zip(scale, self.actions)]

@@ -24,7 +24,7 @@ from scipy.linalg.blas import dtrmm
 
 from .errors import DegenerateDofError
 from .hierarchy import SparseModel
-from .kernel import Dataset, kernel_matrix
+from .kernel import Dataset, _kernel, kernel_matrix
 from .network import _PenalizedSystem
 from .penalty import penalty_band, weighted_penalty
 from .tdist import t_quantile
@@ -56,11 +56,12 @@ _BLOCK_ROWS = 1536
 def _bases(model: SparseModel, X_m: np.ndarray):
     """(rows, kernel basis of those query rows) for each block of ``X_m``: edges
     at multiples of ``_BLOCK_ROWS``, the last block taking the remainder (one
-    empty block for an empty batch)."""
+    empty block for an empty batch), each a view of one buffer that the next overwrites."""
     m = len(X_m)
     edges = [*range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), m]
+    buffer = np.empty(len(model.X_t) * (m - edges[-2]))  # the last block is the largest
     for a, b in zip(edges, edges[1:]):
-        yield slice(a, b), kernel_matrix(X_m[a:b], model.X_t, model.epsilon_t)
+        yield slice(a, b), _kernel(X_m[a:b], model.X_t, model.epsilon_t, buffer)
 
 
 def _query_matrix(model: SparseModel, X_m: np.ndarray) -> np.ndarray:

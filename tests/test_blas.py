@@ -1,0 +1,148 @@
+"""The GIL-free xTRSM and xTRMM, and the worker thread that runs some of them:
+every result has the bits of scipy's f2py wrappers, with the worker or without."""
+import dataclasses
+import multiprocessing
+import threading
+
+import numpy as np
+import pytest
+from scipy.linalg.blas import dtrmm, dtrsm
+
+from hiersparse import _blas, influence_traces, network, optimize_gcv
+from helpers import make_basis_problem
+
+
+def _force(monkeypatch, on: bool) -> list:
+    """Turn the worker on or off, whatever this machine's CPU count; returns the
+    list that records whether each ``trsm`` and ``trmm`` ran off this thread."""
+    monkeypatch.setattr(_blas, "_cpus", lambda: 2 if on else 1)
+    off_thread = []
+    for name in ("trsm", "trmm"):
+        real = getattr(_blas, name)
+
+        def recorded(*args, _real=real, _caller=threading.get_ident(), **kwargs):
+            off_thread.append(threading.get_ident() != _caller)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(_blas, name, recorded)
+    return off_thread
+
+
+@pytest.fixture(params=[True, False], ids=["worker", "inline"])
+def worker(request, monkeypatch):
+    """Runs its test with the worker on and off, and checks that it ran only when on."""
+    off_thread = _force(monkeypatch, request.param)
+    yield
+    assert any(off_thread) == request.param
+
+
+def _triangular(l, seed):
+    rng = np.random.default_rng(seed)
+    return np.asfortranarray(np.tril(rng.standard_normal((l, l))) + l * np.eye(l))
+
+
+class TestRoutines:
+    @pytest.mark.parametrize("l, k", [(1, 1), (5, 3), (64, 70), (205, 52)])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, -0.37])
+    def test_full_arrays_have_the_f2py_bits(self, l, k, trans, alpha):
+        L = _triangular(l, l + k)
+        B = np.asfortranarray(np.random.default_rng(k).standard_normal((l, k)))
+        for ours, f2py in ((_blas.trsm, dtrsm), (_blas.trmm, dtrmm)):
+            expect = f2py(alpha, L, B, lower=1, trans_a=int(trans))
+            got = ours(alpha, L, np.array(B, order="F"), trans=trans)
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("l, a, cols", [(7, 3, (1, 3)), (50, 13, (13, 26)),
+                                            (205, 51, (51, 102))])
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_column_blocks_are_solved_in_place(self, l, a, cols, trans):
+        # the blocks' leading dimension (l) is not their row count (l - a)
+        L = _triangular(l, a)
+        whole = np.asfortranarray(np.random.default_rng(l).standard_normal((l, l)))
+        for ours, f2py in ((_blas.trsm, dtrsm), (_blas.trmm, dtrmm)):
+            out = whole.copy(order="F")
+            block = out[a:, cols[0]:cols[1]]
+            expect = f2py(0.5, L[a:, a:], block, lower=1, trans_a=int(trans))
+            assert ours(0.5, L[a:, a:], block, trans=trans) is block
+            assert block.tobytes() == np.asfortranarray(expect).tobytes()
+            outside = np.ones(whole.shape, dtype=bool)
+            outside[a:, cols[0]:cols[1]] = False
+            assert np.array_equal(out[outside], whole[outside])  # nothing else written
+
+    def test_other_layouts_are_refused(self):
+        L, B = _triangular(4, 0), np.ones((4, 3), order="F")
+        frozen = B.copy(order="F")
+        frozen.flags.writeable = False
+        for A, target in ((L, np.ones((4, 3))), (L, B.astype(np.float32, order="F")),
+                          (L, B[::2]), (L, frozen), (np.ascontiguousarray(L), B),
+                          (L[1:, 1:], B), (L[:, :3], B), (L, np.ones(4))):
+            with pytest.raises(ValueError, match="F order"):
+                _blas.trsm(1.0, A, target)
+
+
+def _lower_solve_oracle(L, T):
+    """L^{-1} T block by block through scipy's f2py ``dtrsm``, each block a new array."""
+    l, k = T.shape
+    out = np.zeros((l, k), order="F")
+    edges = np.linspace(0, k, network._TRACE_BLOCKS + 1).astype(int)
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            out[a:, a:b] = dtrsm(1.0, L[a:, a:], T[a:, a:b], lower=1)
+    return out
+
+
+class TestWorkerChangesNoBit:
+    @pytest.mark.parametrize("l", range(1, 3 * network._TRACE_BLOCKS + 2))
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_trace_solve_has_the_bits_of_per_block_f2py_solves(self, worker, l, shape):
+        rng = np.random.default_rng(l)
+        n = l + 5 if shape == "tall" else max(1, l - 2)
+        B = rng.standard_normal((n, l))
+        A = rng.standard_normal((l, l))
+        system = network._PenalizedSystem(B, A @ A.T / l + 0.1 * np.eye(l), n)
+        R = np.linalg.qr(B, mode="r")
+        expect = _lower_solve_oracle(system.factor[0], R.T)
+        assert system.V.tobytes() == expect.tobytes()
+        assert system.V.flags.f_contiguous
+
+    def test_an_empty_basis_has_zero_traces(self, worker):
+        assert influence_traces(np.zeros((4, 0)), np.zeros((0, 0)), 4) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n, d, seed, s", [(80, 2, 4, 2), (60, 2, 7, 3), (40, 3, 5, 1)])
+    def test_every_field_of_the_search_is_the_same(self, monkeypatch, n, d, seed, s):
+        prob = make_basis_problem(n, d, seed=seed, s=s)
+        args = prob["B"], prob["Y"], prob["centers"], n
+        found = {}
+        for on in (False, True):
+            off_thread = _force(monkeypatch, on)
+            found[on] = optimize_gcv(*args)
+            assert any(off_thread) == on
+        for field in dataclasses.fields(found[False]):
+            inline, threaded = getattr(found[False], field.name), getattr(found[True], field.name)
+            assert np.array_equal(inline, threaded), field.name
+            assert np.asarray(inline).tobytes() == np.asarray(threaded).tobytes()
+
+
+def _fit_in_child(args, expect):
+    got = optimize_gcv(*args)
+    assert np.array_equal(got.theta, expect.theta) and got.cost == expect.cost
+
+
+def test_a_forked_child_makes_its_own_worker(monkeypatch):
+    # a child inherits the parent's executor but not its thread: submitting to
+    # that executor would wait forever
+    _force(monkeypatch, True)
+    prob = make_basis_problem(60, 2, seed=7, s=3)
+    args = prob["B"], prob["Y"], prob["centers"], 60
+    expect = optimize_gcv(*args)
+    assert _blas._workers  # the parent has made its worker
+    child = multiprocessing.get_context("fork").Process(target=_fit_in_child,
+                                                        args=(args, expect))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child did not finish its fit within 60 s")
+    assert child.exitcode == 0

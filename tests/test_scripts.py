@@ -115,7 +115,8 @@ def test_bench_record_keeps_every_run_and_its_quartiles():
     assert [run["metrics"]["fit_s"] for run in entry["runs"]] == [3.0, 1.0, 2.0, 4.0]
     assert entry["runs"][0] == {"correct": True, "attempted": 12, "failed": 0,
                                 "metrics": {"fit_s": 3.0, "peak_rss_mb": 92.5},
-                                "fingerprint": {"t": 4, "Q_t": [1, 1]}}
+                                "fingerprint": {"t": 4, "Q_t": [1, 1]},
+                                "fit_wall_s": [0.3, 0.31]}
     assert entry["summary"]["fit_s"] == {"unit": "s", "runs": 4, "median": 2.5,
                                          "q1": 1.75, "q3": 3.25}
     assert entry["summary"]["peak_rss_mb"]["median"] == 92.5
