@@ -109,14 +109,24 @@ def _synth_spec_from_args(args) -> SynthSpec:
     )
 
 
+def _refuse_unread(args, flags, need: str) -> None:
+    """UsageError naming the first of ``flags`` given in ``args``: without ``need``,
+    nothing reads it, and a flag that would be ignored is refused."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+            raise UsageError(f"{flag} is read only with {need}")
+
+
 def _load_training(args):
     """Dataset plus provenance from either --data or --synth flags."""
     if args.data and args.synth:
         raise UsageError("give either --data or --synth, not both")
     if args.data:
+        _refuse_unread(args, ("--n", "--noise", "--range"), "--synth")
         dataset = ingest_csv(args.data, has_header=args.has_header)
         return dataset, {"input": str(args.data), "input_sha256": sha256_of(args.data)}
     if args.synth:
+        _refuse_unread(args, ("--has-header",), "--data")
         spec = _synth_spec_from_args(args)
         dataset = sample(spec)
         descr = (
@@ -186,8 +196,10 @@ def cmd_predict(args) -> int:
     model = _read_model(args.model)
     if args.query and args.grid:
         raise UsageError("give either --query or --grid, not both")
-    if args.data and args.ci is None:
-        raise UsageError("--data is read only for intervals: give --ci ALPHA too")
+    if args.ci is None:
+        _refuse_unread(args, ("--data",), "--ci ALPHA (intervals)")
+    if not (args.query or args.data):
+        _refuse_unread(args, ("--has-header",), "--query or --data")
     if args.query:
         X_m = read_points_csv(args.query, has_header=args.has_header)
     elif args.grid:
@@ -214,12 +226,13 @@ def cmd_predict(args) -> int:
 
 def cmd_report(args) -> int:
     model = _read_model(args.model)
-    if args.grid and not args.data:
-        raise UsageError("--grid sets the prediction band's points, which needs --data")
     if args.data:  # the band comes first, so bad input leaves no file behind
         dataset = ingest_csv(args.data, has_header=args.has_header)
         X_m = _parse_grid(args.grid) if args.grid else _default_grid(model)
-        pred = predict_intervals(model, dataset, X_m, alpha=args.alpha)
+        alpha = 0.05 if args.alpha is None else args.alpha
+        pred = predict_intervals(model, dataset, X_m, alpha=alpha)
+    else:  # the grid, level and header all belong to the band
+        _refuse_unread(args, ("--grid", "--alpha", "--has-header"), "--data")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -294,7 +307,7 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--out-dir", dest="out_dir", required=True)
     p_rep.add_argument("--data", help="training CSV; enables the prediction band")
     p_rep.add_argument("--grid", help="band grid lo:hi:count[,lo:hi:count]")
-    p_rep.add_argument("--alpha", type=in_unit, default=0.05)
+    p_rep.add_argument("--alpha", type=in_unit, help="band level 1 - ALPHA (0.05); needs --data")
     p_rep.add_argument("--has-header", action="store_true")
     p_rep.set_defaults(func=cmd_report)
     return parser

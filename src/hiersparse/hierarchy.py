@@ -98,7 +98,7 @@ def fit(
     n_distinct = np.unique(X, axis=0).shape[0]
 
     history: list[ScaleRecord] = []
-    best, best_cost = None, np.inf
+    best, best_cost = None, np.inf  # best: (t, Y_t, C_t) of the incumbent scale
     for s in range(max_scales):
         eps = length_scale(T_val, M, s)
         G = gram(X, eps)
@@ -114,21 +114,13 @@ def fit(
             ScaleRecord(s, eps, l_s, comp, fs.cost, fs.lam, fs.q, scale_seed, centers)
         )
         if fs.cost < best_cost:
-            best_cost = fs.cost
-            best = SparseModel(
-                t=s,
-                epsilon_t=eps,
-                X_t=centers,
-                Y_t=Y[basis.selected].copy(),
-                C_t=fs.theta,
-                Lambda_t=fs.lam,
-                Q_t=fs.q,
-                n_train=n,
-                history=history,
-            )
+            best, best_cost = (s, Y[basis.selected], fs.theta), fs.cost
         if l_s >= n_distinct:
             break
 
     if best is None:
         raise FitError("no scale produced a usable fit")
-    return best
+    t, Y_t, C_t = best
+    rec = history[t]  # the served scale's record: its very arrays, so they agree by construction
+    return SparseModel(t=t, epsilon_t=rec.epsilon_s, X_t=rec.points, Y_t=Y_t, C_t=C_t,
+                       Lambda_t=rec.lam, Q_t=rec.q, n_train=n, history=history)

@@ -96,12 +96,12 @@ def length_scale(T: float, M: float, s: int) -> float:
 _TILE = 32768
 
 
-def _sq_distances(A, B, epsilon=None, buffer=None) -> np.ndarray:
-    """``||a_j - b_i||^2`` in a new len(B) x len(A) array (or the head of a flat ``buffer``)
-    filled by tiles of rows, returned transposed; with ``epsilon``, ``exp(-d2 / epsilon)``."""
+def _sq_distances(A, B, epsilon=None) -> np.ndarray:
+    """``||a_j - b_i||^2`` in a new len(B) x len(A) array filled by tiles of rows,
+    returned transposed; with ``epsilon``, ``exp(-d2 / epsilon)``."""
     At, Bt = A.T.copy(), B.T.copy()
     (d, m), l = At.shape, len(B)
-    out = np.empty((l, m)) if buffer is None else buffer[:l * m].reshape(l, m)
+    out = np.empty((l, m))
     rows = l if d == 1 else max(_TILE // max(m, 1), 1)
     term = np.empty((min(rows, l), m)) if d > 1 else None
     # numpy 2.4 runs a broadcast subtraction about 3x slower per entry when its ufunc
@@ -135,11 +135,6 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, epsilon: float) -> np.ndarray:
     is in Fortran order.  Each entry costs 3d + 1 passes; for d >= 2 they run on
     tiles of about 256 KiB of rows of B in cache, and a tile is the only temporary.
     """
-    return _kernel(A, B, epsilon)
-
-
-def _kernel(A, B, epsilon: float, buffer=None) -> np.ndarray:
-    """``kernel_matrix``, written into the head of the flat ``buffer`` when one is given."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -148,7 +143,7 @@ def _kernel(A, B, epsilon: float, buffer=None) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("nonfinite coordinates")
-    return _sq_distances(A, B, epsilon, buffer)
+    return _sq_distances(A, B, epsilon)
 
 
 def gram(X: np.ndarray, epsilon_s: float) -> np.ndarray:

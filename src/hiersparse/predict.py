@@ -10,9 +10,10 @@ repeated interval calls on one (model, dataset) reuse one factorization and
 one inversion, and each batch of queries costs one triangular product.  Only
 the most recent fit is kept, keyed on the content of the arrays it reads.
 
-Queries are served in 1536-row blocks (``_BLOCK_ROWS``) written into preallocated
-outputs, so a call holds one block's basis, not the whole m x l query basis:
-serving memory grows with the model, not with the batch.
+Every prediction is served by one loop: ``kernel_matrix`` on each 1536-row block
+of queries (``_BLOCK_ROWS``), written into preallocated outputs, the block's basis
+released before the next is built.  A call holds one block's basis, not the whole
+m x l query basis: serving memory grows with the model, not with the batch.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from scipy.linalg.blas import dtrmm
 
 from .errors import DegenerateDofError
 from .hierarchy import SparseModel
-from .kernel import Dataset, _kernel, kernel_matrix
+from .kernel import Dataset, kernel_matrix
 from .network import _PenalizedSystem
 from .penalty import penalty_band, weighted_penalty
 from .tdist import t_quantile
@@ -53,17 +54,6 @@ class PredictionSet:
 _BLOCK_ROWS = 1536
 
 
-def _bases(model: SparseModel, X_m: np.ndarray):
-    """(rows, kernel basis of those query rows) for each block of ``X_m``: edges
-    at multiples of ``_BLOCK_ROWS``, the last block taking the remainder (one
-    empty block for an empty batch), each a view of one buffer that the next overwrites."""
-    m = len(X_m)
-    edges = [*range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), m]
-    buffer = np.empty(len(model.X_t) * (m - edges[-2]))  # the last block is the largest
-    for a, b in zip(edges, edges[1:]):
-        yield slice(a, b), _kernel(X_m[a:b], model.X_t, model.epsilon_t, buffer)
-
-
 def _query_matrix(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
     """X_m as an m x d table; a flat array is m points when d = 1, else one."""
     X_m = np.asarray(X_m, dtype=float)
@@ -76,25 +66,13 @@ def _query_matrix(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
     return X_m
 
 
-def _mean(model: SparseModel, B_m: np.ndarray) -> np.ndarray:
-    """B_m C_t, or ``ValueError`` where finite coefficients sum past the float range."""
-    mean = B_m @ model.C_t
-    if not np.isfinite(mean).all():
-        raise ValueError("the predicted mean overflows the float range")
-    return mean
-
-
 def predict_mean(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
     """Kernel basis at the queries times the sparse coefficients.
 
     Uses only (epsilon_t, X_t, C_t), not the training dataset; a mean past
     the float range raises ``ValueError``.
     """
-    X_m = _query_matrix(model, X_m)
-    mean = np.empty(len(X_m))
-    for rows, B_m in _bases(model, X_m):
-        mean[rows] = _mean(model, B_m)
-    return mean
+    return _serve(model, X_m)[1]
 
 
 # the most recent noise fit, (L^{-1}, sigma^2, df_res), under its _noise_fit_key;
@@ -168,13 +146,30 @@ def residual_dof(model: SparseModel, dataset: Dataset) -> float:
 
 
 def predict_std(model: SparseModel, dataset: Dataset, X_m: np.ndarray) -> np.ndarray:
-    """Pointwise standard error sigma * sqrt(b(x) (B^T B + n P)^{-1} b(x)^T)."""
-    X_m = _query_matrix(model, X_m)
-    Linv, sigma2, _ = _noise_fit(model, dataset)
-    std = np.empty(len(X_m))
-    for rows, B_m in _bases(model, X_m):
-        std[rows] = _std(Linv, sigma2, B_m)
-    return std
+    """Pointwise standard error sigma * sqrt(b(x) (B^T B + n P)^{-1} b(x)^T); the mean
+    is served alongside, so one past the float range raises ``ValueError`` here too."""
+    return _serve(model, X_m, dataset)[2]
+
+
+def _serve(model: SparseModel, X_m: np.ndarray, dataset: Dataset | None = None):
+    """(queries as a table, mean, std, noise fit) at ``X_m``, std and noise fit None
+    without a ``dataset``; ``ValueError`` where finite coefficients sum past the float
+    range.  Block edges sit at multiples of ``_BLOCK_ROWS``, the last block taking
+    the remainder (one empty block for an empty batch)."""
+    X_m = _query_matrix(model, X_m)  # a bad query fails before the noise fit
+    noise = None if dataset is None else _noise_fit(model, dataset)
+    m = len(X_m)
+    edges = [*range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), m]
+    mean, std = np.empty(m), None if noise is None else np.empty(m)
+    for a, b in zip(edges, edges[1:]):
+        B_m = kernel_matrix(X_m[a:b], model.X_t, model.epsilon_t)
+        mean[a:b] = B_m @ model.C_t
+        if not np.isfinite(mean[a:b]).all():
+            raise ValueError("the predicted mean overflows the float range")
+        if noise is not None:
+            std[a:b] = _std(*noise[:2], B_m)  # last: it overwrites B_m
+        del B_m  # before the next block is built, so a call holds one block's basis
+    return X_m, mean, std, noise
 
 
 def _check_alpha(alpha: float) -> None:
@@ -198,12 +193,7 @@ def predict_intervals(
 ) -> PredictionSet:
     """Mean prediction with t-confidence bounds at level 1 - alpha."""
     _check_alpha(alpha)
-    X_m = _query_matrix(model, X_m)
-    Linv, sigma2, df_res = _noise_fit(model, dataset)
-    mean, std = np.empty(len(X_m)), np.empty(len(X_m))
-    for rows, B_m in _bases(model, X_m):
-        mean[rows] = _mean(model, B_m)
-        std[rows] = _std(Linv, sigma2, B_m)  # last: it overwrites B_m
+    X_m, mean, std, (_, sigma2, df_res) = _serve(model, X_m, dataset)
     lower, upper = confidence_intervals(mean, std, df_res, alpha)
     return PredictionSet(
         X_m=X_m,

@@ -276,15 +276,6 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "training data" in err
 
-    def test_data_without_ci_is_usage_error(self, tmp_path, capsys):
-        model_path, _, _ = _fit_files(tmp_path, n=60)
-        out = tmp_path / "x.csv"
-        code = _run("predict", "--model", str(model_path), "--grid=-1:1:5",
-                    "--data", str(tmp_path / "nosuch.csv"), "--out", str(out))
-        assert code == 1
-        assert "--data" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("alpha", ["1.5", "nan", "0"])
     def test_out_of_range_ci_is_usage_error(self, tmp_path, capsys, alpha):
         model_path, _, train = _fit_files(tmp_path, n=60)
@@ -367,15 +358,6 @@ class TestReport:
         assert not (out_dir / "prediction_band.csv").exists()
         assert "skipped" in capsys.readouterr().out
 
-    def test_grid_without_data_is_usage_error(self, tmp_path, capsys):
-        model_path, _, _ = _fit_files(tmp_path, n=60)
-        out_dir = tmp_path / "rep"
-        code = _run("report", "--model", str(model_path), "--out-dir", str(out_dir),
-                    "--grid=-1:1:5")
-        assert code == 1
-        assert "--grid" in capsys.readouterr().err
-        assert not out_dir.exists()
-
     def test_missing_data_file_writes_nothing(self, tmp_path):
         model_path, _, _ = _fit_files(tmp_path, n=60)
         out_dir = tmp_path / "rep"
@@ -422,6 +404,39 @@ class TestMalformedInput:
         assert code == 1
         assert str(data_dir) in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestIgnoredFlags:
+    # a flag that nothing would read is refused: exit 1, the flag named, no file
+    # written; each run succeeds without the refused flags
+    @pytest.mark.parametrize("command, base, ignored", [
+        ("fit", ["--data", "{train}", "--has-header"],
+         ["--n", "50", "--noise", "3", "--range=0:1,0:1"]),
+        ("fit", ["--data", "{train}", "--has-header"], ["--noise", "3"]),
+        ("fit", ["--data", "{train}", "--has-header"], ["--range=0:1"]),
+        ("fit", ["--synth", "schwefel1d", "--n", "50", "--noise", "3"], ["--has-header"]),
+        ("predict", ["--model", "{model}", "--grid=-1:1:5"], ["--has-header"]),
+        ("predict", ["--model", "{model}", "--grid=-1:1:5"], ["--data", "{train}"]),
+        ("report", ["--model", "{model}"], ["--alpha", "0.1"]),
+        ("report", ["--model", "{model}"], ["--grid=-1:1:5"]),
+        ("report", ["--model", "{model}"], ["--has-header"]),
+    ], ids=["fit-data-synth-flags", "fit-data-noise", "fit-data-range", "fit-synth-header",
+            "predict-header", "predict-data", "report-alpha", "report-grid", "report-header"])
+    def test_ignored_flag_is_usage_error(self, tmp_path, capsys, served, command, base,
+                                         ignored):
+        payload, train = served
+        model, out = tmp_path / "model.json", tmp_path / "out"
+        model.write_text(json.dumps(payload))
+        output = ["--out-dir" if command == "report" else "--out", str(out)]
+
+        def run(argv):
+            return _run(command, *(a.format(model=model, train=train) for a in argv), *output)
+
+        assert run(base + ignored) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ignored[0].split('=')[0]} " in err and "Traceback" not in err
+        assert not out.exists()
+        assert run(base) == 0
 
 
 @pytest.fixture(scope="module")

@@ -465,6 +465,9 @@ class TestFlatQueries:
             predict_mean(model, np.zeros(3))
 
 
+_ROWS = predict._BLOCK_ROWS
+
+
 class TestServingBlocks:
     """Queries are served in blocks of ``predict._BLOCK_ROWS`` rows, the last
     block taking the remainder."""
@@ -499,13 +502,35 @@ class TestServingBlocks:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_peak_memory_is_a_few_blocks_of_basis(self, d):
-        # the whole 10-block basis (two buffers of it for d >= 2) exceeded this
+        # one block's basis and the kernel's tile peak at 1.6 blocks for d = 2 (1.1 for
+        # d = 1); a loop that still holds the previous block while it builds the next
+        # exceeds 2.  predict_intervals holds the mean and std columns in the loop and
+        # five columns in the intervals after it
         ds, model = _served(d)
         X_m = _queries(d, 10 * predict._BLOCK_ROWS + 5)
         predict_intervals(model, ds, X_m[:1])  # the noise fit is per dataset, not per batch
         block, column = predict._BLOCK_ROWS * len(model.X_t) * 8, len(X_m) * 8
-        assert _peak_bytes(lambda: predict_mean(model, X_m)) <= 4 * block + 2 * column
-        assert _peak_bytes(lambda: predict_intervals(model, ds, X_m)) <= 4 * block + 6 * column
+        assert _peak_bytes(lambda: predict_mean(model, X_m)) <= 2 * block + column
+        assert (_peak_bytes(lambda: predict_intervals(model, ds, X_m))
+                <= max(2 * block + 2 * column, 6 * column))
+
+    @pytest.mark.parametrize("m, blocks", [(0, [0]), (5, [5]), (2 * _ROWS + 5, [_ROWS, _ROWS + 5]),
+                                           (3 * _ROWS - 1, [_ROWS, 2 * _ROWS - 1])])
+    @pytest.mark.parametrize("serve", ["mean", "std", "intervals"])
+    def test_one_kernel_matrix_call_per_block(self, monkeypatch, m, blocks, serve):
+        ds, model = _served(2)
+        X_m = _queries(2, m)
+        predict_intervals(model, ds, X_m[:1])  # the noise fit calls kernel_matrix too
+        rows = []
+
+        def counted(A, B, epsilon):
+            rows.append(len(A))
+            return kernel_matrix(A, B, epsilon)
+
+        monkeypatch.setattr(predict, "kernel_matrix", counted)
+        {"mean": lambda: predict_mean(model, X_m), "std": lambda: predict_std(model, ds, X_m),
+         "intervals": lambda: predict_intervals(model, ds, X_m)}[serve]()
+        assert rows == blocks
 
 
 class TestNoDensePenalty:
