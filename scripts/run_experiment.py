@@ -5,9 +5,9 @@ orders and weights) and the grid RMSE and 95% band coverage against the true
 function, and writes plot-ready CSVs to the output directory:
 prediction_band.csv, cost_curve.csv and selected_points.csv.
 
-bohachevsky2d runs on [-1, 1]^2, not on its package default [-100, 100]^2:
-there the quadratic bowl dwarfs the cosine ripples, and with noise at 5% of
-the range the coarsest scale wins.
+The problem is the family's row of ``hiersparse.synth.PROBLEMS`` (n, seed,
+bounds), with noise by ``synth.noise_sigma``; --n, --seed and --noise-frac
+override them.  The band's grid spans a share of the bounds, first axis fastest.
 
     python scripts/run_experiment.py schwefel1d --out-dir out_schwefel1d
 """
@@ -18,37 +18,28 @@ import numpy as np
 
 from hiersparse import SynthSpec, eval_true, fit, predict_intervals, sample
 from hiersparse.dataio import write_csv
+from hiersparse.synth import PROBLEMS, mesh, noise_sigma
 
-# family: (n, seed, bounds, prediction grid points per axis, share of the bounds it spans)
-FAMILIES = {
-    "schwefel1d": (600, 31, ((-500.0, 500.0),), 1000, 1.0),
-    "bohachevsky2d": (800, 41, ((-1.0, 1.0),) * 2, 30, 0.9),
-}
-
-
-def _mesh(bounds, per_axis, share=1.0):
-    """``per_axis`` points per axis over ``share`` of each interval, first axis fastest."""
-    axes = [np.linspace(share * lo, share * hi, per_axis) for lo, hi in bounds]
-    return np.column_stack([m.ravel() for m in np.meshgrid(*axes)])
+# family: (prediction grid points per axis, share of the bounds it spans)
+PLOT_GRIDS = {"schwefel1d": (1000, 1.0), "bohachevsky2d": (30, 0.9)}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("family", choices=FAMILIES)
+    ap.add_argument("family", choices=PROBLEMS)
     ap.add_argument("--n", type=int, help="sample size (default: the family's)")
     ap.add_argument("--seed", type=int, help="data and fit seed (default: the family's)")
     ap.add_argument("--noise-frac", type=float, default=0.05,
                     help="noise sigma as a fraction of the true function's range")
     ap.add_argument("--out-dir", help="default: out_FAMILY")
     args = ap.parse_args()
-    n, seed, bounds, per_axis, share = FAMILIES[args.family]
+    n, seed, bounds = PROBLEMS[args.family]
     n = n if args.n is None else args.n
     seed = seed if args.seed is None else args.seed
     d = len(bounds)
 
-    f_dense = eval_true(args.family, _mesh(bounds, 2001 if d == 1 else 101))
-    sigma = args.noise_frac * float(f_dense.max() - f_dense.min())
+    sigma = noise_sigma(args.family, bounds, args.noise_frac)
     ds = sample(SynthSpec(args.family, n=n, noise_sigma=sigma, bounds=bounds, seed=seed))
     print(f"{args.family}  n={n}  noise sigma={sigma:.4g}  seed={seed}")
 
@@ -61,7 +52,9 @@ def main():
         print(f"{rec.s:>3} {rec.epsilon_s:>12.5g} {rec.l_s:>5} {rec.comp_s:>7.3f} "
               f"{rec.cost:>12.6g} {q:>5}  {lam}{mark}")
 
-    grid = _mesh(bounds, per_axis, share)
+    per_axis, share = PLOT_GRIDS[args.family]
+    axes = [np.linspace(share * lo, share * hi, per_axis) for lo, hi in bounds]
+    grid = mesh(axes[::-1])[:, ::-1]  # first axis fastest
     truth = eval_true(args.family, grid)
     ps = predict_intervals(model, ds, grid, alpha=0.05)
     rmse = float(np.sqrt(np.mean((ps.mean - truth) ** 2)))

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hierarchy import SparseModel, fit
 from .predict import predict_intervals, predict_mean
-from .synth import FAMILY_DIMS, SynthSpec, sample
+from .synth import FAMILY_DIMS, SynthSpec, mesh, sample
 
 
 class UsageError(Exception):
@@ -82,20 +82,14 @@ def _parse_axes(text: str, flag: str, form: str) -> list[tuple]:
     return axes
 
 
-def _mesh(axes) -> np.ndarray:
-    """Points of the tensor grid on ``axes``, one row each, last axis fastest."""
-    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-
-
 def _parse_grid(text: str) -> np.ndarray:
-    return _mesh([np.linspace(*axis) for axis in _parse_axes(text, "--grid", "lo:hi:count")])
+    return mesh([np.linspace(*axis) for axis in _parse_axes(text, "--grid", "lo:hi:count")])
 
 
 def _default_grid(model: SparseModel, per_dim: int = 200) -> np.ndarray:
     lo, hi = model.X_t.min(axis=0), model.X_t.max(axis=0)
-    d = model.X_t.shape[1]
-    side = per_dim if d == 1 else max(2, int(round(per_dim ** (1.0 / d))))
-    return _mesh([np.linspace(lo[i], hi[i], side) for i in range(d)])
+    side = per_dim if len(lo) == 1 else max(2, int(round(per_dim ** (1.0 / len(lo)))))
+    return mesh([np.linspace(*ends, side) for ends in zip(lo, hi)])
 
 
 def _synth_spec_from_args(args) -> SynthSpec:

@@ -81,17 +81,25 @@ def _integral(value, field: str) -> int:
     raise ValueError(f"invalid model: needs {field} an integral number, got {value!r}")
 
 
+def _numbers(value, field: str) -> np.ndarray:
+    """A number or nested lists of numbers as floats; unlike ``float``, refuses "1.5" and true."""
+    cells = np.asarray(value, dtype=object)
+    if all(k is not bool and issubclass(k, numbers.Real) for k in set(map(type, cells.flat))):
+        return cells.astype(float)
+    raise ValueError(f"invalid model: needs {field} numbers, not strings or booleans")
+
+
 def _record_from_dict(d: dict, field: str) -> ScaleRecord:
     return ScaleRecord(
         s=_integral(d["s"], f"{field}.s"),
-        epsilon_s=float(d["epsilon_s"]),
+        epsilon_s=float(_numbers(d["epsilon_s"], f"{field}.epsilon_s")),
         l_s=_integral(d["l_s"], f"{field}.l_s"),
-        comp_s=float(d["comp_s"]),
-        cost=math.inf if d["cost"] is None else float(d["cost"]),
-        lam=None if d["lambda"] is None else np.asarray(d["lambda"], dtype=float),
+        comp_s=float(_numbers(d["comp_s"], f"{field}.comp_s")),
+        cost=math.inf if d["cost"] is None else float(_numbers(d["cost"], f"{field}.cost")),
+        lam=None if d["lambda"] is None else _numbers(d["lambda"], f"{field}.lambda"),
         q=None if d["q"] is None else tuple(_integral(v, f"{field}.q") for v in d["q"]),
         seed=_integral(d["seed"], f"{field}.seed"),
-        points=np.asarray(d["points"], dtype=float),
+        points=_numbers(d["points"], f"{field}.points"),
     )
 
 
@@ -165,11 +173,11 @@ def _check_model(model: SparseModel) -> SparseModel:
 def model_from_dict(d: dict) -> SparseModel:
     return _check_model(SparseModel(
         t=_integral(d["t"], "t"),
-        epsilon_t=float(d["epsilon_t"]),
-        X_t=np.asarray(d["X_t"], dtype=float),
-        Y_t=np.asarray(d["Y_t"], dtype=float),
-        C_t=np.asarray(d["C_t"], dtype=float),
-        Lambda_t=np.asarray(d["Lambda_t"], dtype=float),
+        epsilon_t=float(_numbers(d["epsilon_t"], "epsilon_t")),
+        X_t=_numbers(d["X_t"], "X_t"),
+        Y_t=_numbers(d["Y_t"], "Y_t"),
+        C_t=_numbers(d["C_t"], "C_t"),
+        Lambda_t=_numbers(d["Lambda_t"], "Lambda_t"),
         Q_t=tuple(_integral(v, "Q_t") for v in d["Q_t"]),
         n_train=_integral(d["n_train"], "n_train"),
         history=[_record_from_dict(r, f"history[{i}]") for i, r in enumerate(d["history"])],

@@ -1,4 +1,4 @@
-"""Synthetic benchmark generators with seeded Gaussian noise.
+"""Synthetic benchmark generators with seeded Gaussian noise, and the benchmark problems.
 
 Function constants follow the standard optimization-test-function forms:
 schwefel1d on [-500, 500] and bohachevsky2d on [-100, 100]^2.
@@ -16,6 +16,12 @@ FAMILY_DIMS = {"schwefel1d": 1, "bohachevsky2d": 2}
 DEFAULT_RANGES = {
     "schwefel1d": ((-500.0, 500.0),),
     "bohachevsky2d": ((-100.0, 100.0), (-100.0, 100.0)),
+}
+
+PROBLEMS = {  # family -> (n, seed of the data and of the fit, bounds)
+    "schwefel1d": (600, 31, ((-500.0, 500.0),)),
+    # not [-100, 100]^2: the bowl dwarfs the ripples there, and at 5% noise scale 0 wins
+    "bohachevsky2d": (800, 41, ((-1.0, 1.0),) * 2),
 }
 
 
@@ -89,3 +95,15 @@ def sample(spec: SynthSpec) -> Dataset:
     f = np.asarray(eval_true(spec.family, X), dtype=float).ravel()
     noise = rng.normal(0.0, spec.noise_sigma, size=spec.n) if spec.noise_sigma > 0 else 0.0
     return Dataset(X=X, Y=f + noise)
+
+
+def mesh(axes) -> np.ndarray:
+    """Points of the tensor grid on ``axes``, one row each, last axis fastest."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
+def noise_sigma(family: str, bounds, frac: float = 0.05) -> float:
+    """``frac`` times the range of ``family`` on 2001 points for d = 1, else 101 per axis."""
+    count = 2001 if len(bounds) == 1 else 101
+    f = eval_true(family, mesh([np.linspace(lo, hi, count) for lo, hi in bounds]))
+    return frac * float(f.max() - f.min())

@@ -35,6 +35,7 @@ from hiersparse import (
     solve_weights,
 )
 from hiersparse.cli import main as cli_main
+from hiersparse.synth import PROBLEMS, mesh, noise_sigma
 from helpers import (
     gcv_oracle,
     influence_oracle,
@@ -177,11 +178,9 @@ def test_criterion_2_scale_count_growth():
 
 def test_criterion_3_univariate_pattern():
     start = time.perf_counter()
-    dense = np.linspace(-500.0, 500.0, 2001)[:, None]
-    f_dense = eval_true("schwefel1d", dense)
-    sigma = 0.05 * float(f_dense.max() - f_dense.min())
-    ds = sample(SynthSpec("schwefel1d", n=600, noise_sigma=sigma, seed=31))
-    model = fit(ds, seed=31)
+    n, seed, bounds = PROBLEMS["schwefel1d"]
+    ds = sample(SynthSpec("schwefel1d", n, noise_sigma("schwefel1d", bounds), bounds, seed))
+    model = fit(ds, seed=seed)
 
     last = model.history[-1].s
     interior = 0 < model.t < last
@@ -193,7 +192,7 @@ def test_criterion_3_univariate_pattern():
     rmse = lambda v: float(np.sqrt(np.mean((v - truth) ** 2)))
     rmse_t = rmse(predict_mean(model, grid))
 
-    scale0 = fit(ds, seed=31, max_scales=1)
+    scale0 = fit(ds, seed=seed, max_scales=1)
     rmse_0 = rmse(predict_mean(scale0, grid))
 
     nearest = np.abs(grid[:, 0][:, None] - ds.X[:, 0][None, :]).argmin(axis=1)
@@ -212,27 +211,15 @@ def test_criterion_3_univariate_pattern():
 
 
 def test_criterion_4_bivariate_run_with_coverage():
-    # The 2-d benchmark runs on the unit square: there the cosine ripples are
-    # a visible fraction of the function range, giving the interior-scale
-    # pattern.  On the optimization-default [-100, 100]^2 domain the
-    # quadratic bowl is 4 orders larger than the ripples, every ripple is
-    # far below 5%-of-range noise, and the coarsest scale correctly wins.
     start = time.perf_counter()
-    bounds = ((-1.0, 1.0), (-1.0, 1.0))
-    ax = np.linspace(-1.0, 1.0, 101)
-    mesh = np.column_stack([m.ravel() for m in np.meshgrid(ax, ax)])
-    f_dense = eval_true("bohachevsky2d", mesh)
-    sigma = 0.05 * float(f_dense.max() - f_dense.min())
-    ds = sample(
-        SynthSpec("bohachevsky2d", n=800, noise_sigma=sigma, bounds=bounds, seed=41)
-    )
-    model = fit(ds, seed=41)
+    n, seed, bounds = PROBLEMS["bohachevsky2d"]
+    ds = sample(SynthSpec("bohachevsky2d", n, noise_sigma("bohachevsky2d", bounds), bounds, seed))
+    model = fit(ds, seed=seed)
 
     last = model.history[-1].s
     interior = 0 < model.t < last
 
-    gx = np.linspace(-0.8, 0.8, 15)
-    grid = np.column_stack([m.ravel() for m in np.meshgrid(gx, gx)])
+    grid = mesh([np.linspace(-0.8, 0.8, 15)] * 2)
     truth = eval_true("bohachevsky2d", grid)
     ps = predict_intervals(model, ds, grid, alpha=0.05)
     coverage = float(np.mean((ps.lower <= truth) & (truth <= ps.upper)))

@@ -537,6 +537,22 @@ class TestModelFileChecks:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # numbers written as JSON strings or booleans, which float() read: each exited 0
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(epsilon_t=str(m["epsilon_t"])),
+        lambda m: (m.update(epsilon_t=True), m["history"][m["t"]].update(epsilon_s=True)),
+        lambda m: m.update(C_t=[str(c) for c in m["C_t"]]),
+    ], ids=["epsilon_t a string", "epsilon_t and its record's epsilon_s true", "C_t strings"])
+    @pytest.mark.parametrize("command", ["mean", "ci", "report"])
+    def test_number_as_string_or_boolean_exits_one_and_writes_nothing(
+            self, tmp_path, capsys, served, edit, command):
+        code, model, out = _run_edited(tmp_path, served, edit, command)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(model) in err and "not strings or booleans" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_y_t_of_another_length_is_read(self, tmp_path, served):
         # a model served at a scale other than t keeps the winner's Y_t
         code, _, out = _run_edited(tmp_path, served, lambda m: m["Y_t"].pop(), "ci")

@@ -214,6 +214,21 @@ class TestModelFile:
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert (a.df_res, a.sigma2_hat) == (b.df_res, b.sigma2_hat)
 
+    # float() read "0.5" as 0.5 and true as 1.0, so a file with either loaded
+    @pytest.mark.parametrize("field", ["epsilon_t", "X_t", "Y_t", "C_t", "Lambda_t",
+                                       "epsilon_s", "comp_s", "cost", "lambda", "points"])
+    @pytest.mark.parametrize("leaf", [str, lambda v: True], ids=["string", "true"])
+    def test_float_field_refuses_a_string_or_a_boolean(self, field, leaf):
+        d = model_to_dict(_fitted_model(seed=4))
+        owner = d if field in d else d["history"][d["t"]]
+
+        def first_leaf_as(value):
+            return [first_leaf_as(value[0]), *value[1:]] if isinstance(value, list) else leaf(value)
+
+        owner[field] = first_leaf_as(owner[field])
+        with pytest.raises(ValueError, match=f"{field} numbers, not strings or booleans"):
+            model_from_dict(d)
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 99}))

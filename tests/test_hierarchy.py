@@ -16,13 +16,13 @@ from hiersparse import (
     IllConditionedScaleError,
     SynthSpec,
     compression_ratio,
-    eval_true,
     fit,
     predict_intervals,
     predict_mean,
     sample,
 )
 from hiersparse.dataio import model_to_dict
+from hiersparse.synth import PROBLEMS, noise_sigma
 
 
 def _small_dataset(seed=0, n=40):
@@ -217,12 +217,10 @@ class TestTranslation:
     def test_criterion_three_data_shifted_far_from_the_origin(self):
         # X + 1e6 rounds each coordinate to a multiple of 2**-33: the data
         # move by up to 6e-11, and C_t moved 2.8e-11 (max-norm, relative)
-        dense = np.linspace(-500.0, 500.0, 2001)[:, None]
-        f_dense = eval_true("schwefel1d", dense)
-        sigma = 0.05 * float(f_dense.max() - f_dense.min())
-        ds = sample(SynthSpec("schwefel1d", n=600, noise_sigma=sigma, seed=31))
-        a = fit(ds, seed=31)
-        b = fit(Dataset(X=ds.X + 1e6, Y=ds.Y), seed=31)
+        n, seed, bounds = PROBLEMS["schwefel1d"]
+        ds = sample(SynthSpec("schwefel1d", n, noise_sigma("schwefel1d", bounds), bounds, seed))
+        a = fit(ds, seed=seed)
+        b = fit(Dataset(X=ds.X + 1e6, Y=ds.Y), seed=seed)
         assert (b.t, b.Q_t) == (a.t, a.Q_t)
         assert [r.l_s for r in b.history] == [r.l_s for r in a.history]
         assert np.array_equal(b.X_t, a.X_t + 1e6)

@@ -15,7 +15,9 @@ from hiersparse import (
     DegenerateDofError,
     PenaltySpec,
     SparseModel,
+    SynthSpec,
     confidence_intervals,
+    eval_true,
     fit,
     influence_matrix,
     kernel_matrix,
@@ -24,10 +26,12 @@ from hiersparse import (
     predict_mean,
     predict_std,
     residual_dof,
+    sample,
     sigma2_hat,
     solve_weights,
 )
 from hiersparse.dataio import model_from_dict, model_to_dict
+from hiersparse.synth import PROBLEMS, noise_sigma
 from helpers import (
     influence_oracle,
     kernel_matrix_oracle,
@@ -295,6 +299,27 @@ class TestCoverageSmoke:
             hits += int(np.sum((ps.lower <= truth) & (truth <= ps.upper)))
             total += len(truth)
         assert hits / total >= 0.80
+
+
+class TestIntervalStatistics:
+    def test_coverage_and_noise_estimate_over_32_seeds(self):
+        # schwefel1d at n=200 with the problem table's noise rule, seeds 1000-1031,
+        # on 2000 grid points: pooled coverage 0.9404 and mean sigma2_hat / sigma^2
+        # 1.0193 when written.  Coverage may not pass the nominal 0.95; the ratio's
+        # margin is about one standard error of a 32-seed mean
+        family = "schwefel1d"
+        bounds = PROBLEMS[family][2]
+        sigma = noise_sigma(family, bounds)
+        grid = np.linspace(-500.0, 500.0, 2000)[:, None]
+        truth = eval_true(family, grid)
+        covered, ratios = [], []
+        for seed in range(1000, 1032):
+            ds = sample(SynthSpec(family, 200, sigma, bounds, seed))
+            ps = predict_intervals(fit(ds, seed=seed), ds, grid)
+            covered.append(np.mean((ps.lower <= truth) & (truth <= ps.upper)))
+            ratios.append(ps.sigma2_hat / sigma**2)
+        assert 0.935 <= np.mean(covered) <= 0.95
+        assert 0.995 <= np.mean(ratios) <= 1.045
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,13 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hiersparse import SynthSpec, eval_true, sample
+from hiersparse.synth import FAMILY_DIMS, PROBLEMS, mesh, noise_sigma
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestEvalTrue:
@@ -76,3 +82,24 @@ class TestSample:
             SynthSpec("schwefel1d", n=10, noise_sigma=1.0, bounds=((1.0, 0.0),))
         with pytest.raises(ValueError):
             SynthSpec("bohachevsky2d", n=10, noise_sigma=1.0, bounds=((0.0, 1.0),))
+
+
+class TestProblems:
+    def test_mesh_rows_run_last_axis_fastest_as_the_grid_flag(self):
+        # --grid=0:1:2,10:30:3 lists x_2 fastest
+        got = mesh([np.array([0.0, 1.0]), np.array([10.0, 20.0, 30.0])])
+        assert np.array_equal(got, [[0, 10], [0, 20], [0, 30], [1, 10], [1, 20], [1, 30]])
+        assert np.array_equal(mesh([np.array([2.0, 3.0])]), [[2.0], [3.0]])
+
+    def test_noise_sigma_is_the_benchmark_workloads_bit_for_bit(self, monkeypatch):
+        # imported as scripts/fit_fingerprint.py does; the benchmark keeps its own copy
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for spec in (workloads.FIT1D, workloads.FIT2D, workloads.SERVE):
+            assert noise_sigma(spec.family, spec.bounds, spec.noise_frac) == spec.noise_sigma()
+
+    def test_every_row_is_a_valid_spec_of_its_family(self):
+        assert set(PROBLEMS) <= set(FAMILY_DIMS)
+        for family, (n, seed, bounds) in PROBLEMS.items():
+            spec = SynthSpec(family, n, noise_sigma(family, bounds), bounds, seed)
+            assert spec.bounds == bounds and spec.noise_sigma > 0
