@@ -9,103 +9,41 @@ its own and t-confidence intervals with the help of the training data.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CSVParseError,
-    DegenerateDofError,
-    DegenerateGCVError,
-    DegenerateGeometryError,
-    FitError,
-    IllConditionedScaleError,
-)
-from .hierarchy import ScaleRecord, SparseModel, compression_ratio, fit
-from .kernel import (
-    Dataset,
-    diameter_T,
-    gram,
-    kernel_matrix,
-    length_scale,
-    numerical_rank,
-)
-from .network import (
-    FittedScale,
-    RepresenterOracle,
-    gcv,
-    influence_matrix,
-    influence_traces,
-    optimize_gcv,
-    optimize_lambda,
-    representer,
-    solve_weights,
-)
-from .penalty import (
-    PenaltyMatrix,
-    PenaltySpec,
-    penalty_components,
-    penalty_operator,
-)
-from .predict import (
-    PredictionSet,
-    confidence_intervals,
-    predict_intervals,
-    predict_mean,
-    predict_std,
-    residual_dof,
-    sigma2_hat,
-)
-from .sparsify import (
-    ScaleBasis,
-    pivoted_qr,
-    pivoted_qr_permutation,
-    select_basis,
-    sketch,
-)
-from .synth import SynthSpec, eval_true, sample
-from .tdist import t_quantile
+import importlib
 
-__all__ = [
-    "CSVParseError",
-    "Dataset",
-    "DegenerateDofError",
-    "DegenerateGCVError",
-    "DegenerateGeometryError",
-    "FitError",
-    "FittedScale",
-    "IllConditionedScaleError",
-    "PenaltyMatrix",
-    "PenaltySpec",
-    "PredictionSet",
-    "RepresenterOracle",
-    "ScaleBasis",
-    "ScaleRecord",
-    "SparseModel",
-    "SynthSpec",
-    "compression_ratio",
-    "confidence_intervals",
-    "diameter_T",
-    "eval_true",
-    "fit",
-    "gcv",
-    "gram",
-    "influence_matrix",
-    "influence_traces",
-    "kernel_matrix",
-    "length_scale",
-    "numerical_rank",
-    "optimize_gcv",
-    "optimize_lambda",
-    "penalty_components",
-    "penalty_operator",
-    "pivoted_qr",
-    "pivoted_qr_permutation",
-    "predict_intervals",
-    "predict_mean",
-    "predict_std",
-    "representer",
-    "residual_dof",
-    "sample",
-    "select_basis",
-    "sigma2_hat",
-    "sketch",
-    "solve_weights",
-    "t_quantile",
-]
+# home module -> the public names it defines.  A name is imported on first
+# access (PEP 562), so ``import hiersparse`` loads neither the fit's modules nor
+# scipy.  Nothing is cached here: each access reads the home module's attribute,
+# so a name replaced there (a test's monkeypatch, a tracer's wrapper) is seen
+# through the package too, and restored with it.
+_EXPORTS = {
+    "errors": ("CSVParseError", "DegenerateDofError", "DegenerateGCVError",
+               "DegenerateGeometryError", "FitError", "IllConditionedScaleError"),
+    "hierarchy": ("compression_ratio", "fit"),
+    "kernel": ("Dataset", "diameter_T", "gram", "kernel_matrix", "length_scale",
+               "numerical_rank"),
+    "model": ("ScaleRecord", "SparseModel"),
+    "network": ("FittedScale", "RepresenterOracle", "gcv", "influence_matrix",
+                "influence_traces", "optimize_gcv", "optimize_lambda", "representer",
+                "solve_weights"),
+    "penalty": ("PenaltyMatrix", "PenaltySpec", "penalty_components", "penalty_operator"),
+    "predict": ("PredictionSet", "confidence_intervals", "predict_intervals", "predict_mean",
+                "predict_std", "residual_dof", "sigma2_hat"),
+    "sparsify": ("ScaleBasis", "pivoted_qr", "pivoted_qr_permutation", "select_basis",
+                 "sketch"),
+    "synth": ("SynthSpec", "eval_true", "sample"),
+    "tdist": ("t_quantile",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

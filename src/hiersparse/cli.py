@@ -31,7 +31,7 @@ from .errors import (
     FitError,
     IllConditionedScaleError,
 )
-from .hierarchy import SparseModel, fit
+from .model import SparseModel
 from .predict import predict_intervals, predict_mean
 from .synth import FAMILY_DIMS, SynthSpec, mesh, sample
 
@@ -64,8 +64,9 @@ def _checked(cast, ok, rule: str):
 
 
 def _parse_axes(text: str, flag: str, form: str) -> list[tuple]:
-    """The comma-separated entries of ``flag``, each ``form``: lo:hi with finite
-    lo < hi, then an integer count >= 1 when ``form`` is lo:hi:count."""
+    """The comma-separated entries of ``flag``, each ``form``: lo:hi with lo < hi
+    and a finite width hi - lo, then an integer count >= 1 when ``form`` is
+    lo:hi:count."""
     axes = []
     for part in text.split(","):
         bits = part.split(":")
@@ -73,7 +74,7 @@ def _parse_axes(text: str, flag: str, form: str) -> list[tuple]:
             if len(bits) != form.count(":") + 1:
                 raise ValueError
             lo, hi, counts = float(bits[0]), float(bits[1]), [int(b) for b in bits[2:]]
-            if not (np.isfinite([lo, hi]).all() and lo < hi and min(counts, default=1) >= 1):
+            if not (0 < hi - lo < np.inf and min(counts, default=1) >= 1):
                 raise ValueError
         except ValueError:
             name = flag.lstrip("-")
@@ -163,6 +164,8 @@ _FIT_SETTINGS = ("T", "M", "phi", "k_extra", "seed", "max_scales")
 
 
 def cmd_fit(args) -> int:
+    from .hierarchy import fit  # scipy: a fresh predict or report never loads it
+
     dataset, provenance = _load_training(args)
     parameters = {name: getattr(args, name) for name in _FIT_SETTINGS}
     model = fit(dataset, **parameters)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CSVParseError
-from .hierarchy import ScaleRecord, SparseModel
 from .kernel import Dataset
+from .model import ScaleRecord, SparseModel
 from .predict import _BLOCK_ROWS
 
 SCHEMA_VERSION = 2

@@ -10,46 +10,14 @@ convergence length scale.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FitError
 from .kernel import Dataset, diameter_T, gram, length_scale, numerical_rank
+from .model import ScaleRecord, SparseModel
 from .network import optimize_gcv
 from .sparsify import pivoted_qr_permutation, select_basis, sketch
-
-
-@dataclass
-class ScaleRecord:
-    """Per-scale fit summary; ``points`` are the selected coordinates so the
-    scale-by-scale selection can be replotted from a saved model alone."""
-
-    s: int
-    epsilon_s: float
-    l_s: int
-    comp_s: float
-    cost: float
-    lam: np.ndarray | None
-    q: tuple[int, ...] | None
-    seed: int
-    points: np.ndarray
-
-
-@dataclass
-class SparseModel:
-    """Convergence-scale payload: sparse representation (X_t, Y_t) plus sparse
-    model (epsilon_t, C_t, Lambda_t, Q_t)."""
-
-    t: int
-    epsilon_t: float
-    X_t: np.ndarray
-    Y_t: np.ndarray
-    C_t: np.ndarray
-    Lambda_t: np.ndarray
-    Q_t: tuple[int, ...]
-    n_train: int
-    history: list[ScaleRecord] = field(default_factory=list)
 
 
 def compression_ratio(l_s: int, n: int) -> float:

@@ -14,6 +14,9 @@ Every prediction is served by one loop: ``kernel_matrix`` on each 1536-row block
 of queries (``_BLOCK_ROWS``), written into preallocated outputs, the block's basis
 released before the next is built.  A call holds one block's basis, not the whole
 m x l query basis: serving memory grows with the model, not with the batch.
+
+Only the interval path imports scipy (through ``network`` and xTRMM), on its
+first call: loading a model and serving its mean needs numpy alone.
 """
 from __future__ import annotations
 
@@ -21,12 +24,10 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from .errors import DegenerateDofError
-from .hierarchy import SparseModel
 from .kernel import Dataset, kernel_matrix
-from .network import _PenalizedSystem
+from .model import SparseModel
 from .penalty import penalty_band, weighted_penalty
 from .tdist import t_quantile
 
@@ -102,6 +103,8 @@ def _noise_fit(model: SparseModel, dataset: Dataset):
     key = _noise_fit_key(model, dataset)
     noise = _NOISE_FIT_MEMO.get(key)
     if noise is None:
+        from .network import _PenalizedSystem  # scipy: loaded for intervals only
+
         n = dataset.n
         B_t = kernel_matrix(dataset.X, model.X_t, model.epsilon_t)
         index, values = penalty_band(model.Q_t, model.X_t)
@@ -128,6 +131,8 @@ def _std(Linv: np.ndarray, sigma2: float, B_m: np.ndarray) -> np.ndarray:
     basis they no longer need.  Multiplying by the inverse of a triangular
     factor is about as accurate as substitution (Higham 2002, section 14).
     """
+    from scipy.linalg.blas import dtrmm
+
     W = dtrmm(1.0, Linv, B_m, side=1, lower=1, trans_a=1, overwrite_b=1)
     return np.sqrt(sigma2) * np.sqrt(np.einsum("ij,ij->i", W, W))
 

@@ -49,7 +49,7 @@ class SynthSpec:
         if len(bounds) != FAMILY_DIMS[self.family]:
             raise ValueError("one (lo, hi) pair per dimension required")
         for lo, hi in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            if not 0 < hi - lo < np.inf:  # finite ends whose width overflows fail too
                 raise ValueError(f"invalid bounds ({lo}, {hi})")
         object.__setattr__(self, "bounds", bounds)
 

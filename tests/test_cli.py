@@ -134,6 +134,7 @@ class TestFit:
     @pytest.mark.parametrize("flag, value", [
         ("--T", "inf"), ("--T", "nan"), ("--M", "inf"), ("--M", "nan"),
         ("--range", "1:0"), ("--range", "0:inf"), ("--range", "0:1,0:1"),
+        ("--range", "-1e308:1e308"),  # each end finite, the width not
         ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"), ("--n", "1"),
     ])
     def test_invalid_synth_setting_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -182,7 +183,8 @@ class TestPredict:
         got = np.array([float(ln.split(",")[1]) for ln in lines])
         assert np.array_equal(got, expect)
 
-    @pytest.mark.parametrize("grid", ["a:1:3", "-1:1:2.5", "0:inf:3", "nan:1:3"])
+    @pytest.mark.parametrize("grid", ["a:1:3", "-1:1:2.5", "0:inf:3", "nan:1:3",
+                                      "-1e308:1e308:3"])
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys, grid):
         model_path, _, _ = _fit_files(tmp_path, n=60)
         out = tmp_path / "p.csv"
@@ -357,6 +359,15 @@ class TestReport:
         assert code == 0
         assert not (out_dir / "prediction_band.csv").exists()
         assert "skipped" in capsys.readouterr().out
+
+    def test_grid_whose_width_overflows_is_usage_error(self, tmp_path, capsys):
+        model_path, _, train = _fit_files(tmp_path, n=60)
+        out_dir = tmp_path / "rep"
+        code = _run("report", "--model", str(model_path), "--out-dir", str(out_dir),
+                    "--data", str(train), "--has-header", "--grid=-1e308:1e308:3")
+        assert code == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_data_file_writes_nothing(self, tmp_path):
         model_path, _, _ = _fit_files(tmp_path, n=60)

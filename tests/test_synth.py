@@ -68,6 +68,11 @@ class TestSample:
         assert np.all((0.0 <= ds.X[:, 0]) & (ds.X[:, 0] <= 1.0))
         assert np.all((2.0 <= ds.X[:, 1]) & (ds.X[:, 1] <= 3.0))
 
+    def test_bounds_whose_width_overflows_are_refused(self):
+        # each end finite and lo < hi, but hi - lo is inf: sampling would overflow
+        with pytest.raises(ValueError, match="invalid bounds"):
+            SynthSpec("schwefel1d", n=10, noise_sigma=1.0, bounds=((-1e308, 1e308),))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SynthSpec("nope", n=10, noise_sigma=1.0)
