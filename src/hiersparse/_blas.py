@@ -2,11 +2,13 @@
 
 They are the routines of ``scipy.linalg.blas.dtrsm`` and ``dtrmm``, reached through
 the function pointers of ``scipy.linalg.cython_blas``: the same bits, but ctypes
-releases the GIL, which the f2py wrappers hold.  ``submit`` hands one such call to
-a worker thread, made on first use and again in a child after ``fork()``.
+releases the GIL, which the f2py wrappers hold.  ``submit`` hands one such call,
+or one d = 1 order search, to a worker thread, made on first use and again in a
+child after ``fork()``.
 """
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from scipy.linalg import cython_blas
@@ -38,6 +40,7 @@ def _routine(name: str):
 
 trsm, trmm = _routine("dtrsm"), _routine("dtrmm")
 _workers = {}  # process id -> its worker: a child after fork() inherits no thread
+_thread = threading.local()  # ``on_worker`` is set on the worker thread only
 
 
 def _cpus() -> int:
@@ -45,13 +48,23 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _mark_worker():
+    _thread.on_worker = True
+
+
 def submit(fn, *args):
     """Start fn(*args) on the worker if this process may run on two CPUs, else run it
-    now; returns the call that waits for it.  Give the worker only leaf calls on
-    arrays the caller allocated: an allocating worker grows a second malloc arena."""
-    if _cpus() < 2:
-        fn(*args)
-        return lambda: None
+    now; returns the call that waits for it and gives its value.  A call made on the
+    worker itself runs now, instead of queueing behind the call that made it.
+
+    Give the worker only leaf calls on arrays the caller allocated: what the worker
+    allocates grows a second malloc arena.  The one exception is a d = 1 order
+    search (``network._searches``), whose arena then holds one pencil line: about
+    6 l^2 doubles at its ``eigh``, plus n l."""
+    if _cpus() < 2 or getattr(_thread, "on_worker", False):
+        value = fn(*args)
+        return lambda: value
     pid = os.getpid()
-    worker = _workers.get(pid) or _workers.setdefault(pid, ThreadPoolExecutor(1))
+    worker = _workers.get(pid) or _workers.setdefault(
+        pid, ThreadPoolExecutor(1, initializer=_mark_worker))
     return worker.submit(fn, *args).result

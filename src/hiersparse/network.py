@@ -21,7 +21,8 @@ Every Cholesky factor of a penalized system, and its inverse, comes from
 it the penalty as its band (``penalty_band``), never as a dense matrix.
 A Newton point's independent triangular products (column blocks of the trace
 solve, one per penalty dimension in the Hessian) are shared with the ``_blas``
-worker when the process may use two CPUs; none is split, so no bit changes.
+worker when the process may use two CPUs, and so is one of the two order
+searches of a d = 1 scale; none is split, so no bit changes.
 """
 from __future__ import annotations
 
@@ -250,7 +251,7 @@ class _PencilLine:
 
     def cost_at(self, lam: float) -> float:
         den = 1.0 + (lam - self.lam_floor) * self.gamma
-        tr_u = float(np.sum(self.cdiag / den))
+        tr_u = float((self.cdiag / den).sum())
         try:
             return _gcv_score(self.n, tr_u, self.Y - self.B_tilde @ (self.zc / den))
         except DegenerateGCVError:
@@ -478,11 +479,22 @@ def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray | None, fl
 
 
 def _searches(B, Y, C, centers, n, combos) -> list:
-    """``_search`` of each order combination in ``combos``.  For d >= 2 every
-    seed line runs, and is freed, before the thin-QR factor R of B is formed
-    for the Newton descents, so R is alive in no line's ``eigh``."""
+    """``_search`` of each order combination in ``combos``, in their order.
+
+    For d = 1 with two combinations, the first searches on the ``_blas``
+    worker while the second searches here; the searches share no state, so no
+    bit changes, and each holds its own pencil line.  For d >= 2 every seed
+    line runs, and is freed, before the thin-QR factor R of B is formed for
+    the Newton descents, so R is alive in no line's ``eigh``."""
     if centers.shape[1] == 1:
-        return [_search(B, Y, C, None, centers, n, q) for q in combos]
+        if len(combos) == 1:
+            return [_search(B, Y, C, None, centers, n, combos[0])]
+        first = _blas.submit(_search, B, Y, C, None, centers, n, combos[0])
+        try:
+            rest = [_search(B, Y, C, None, centers, n, q) for q in combos[1:]]
+        finally:
+            found = first()
+        return [found, *rest]
     seeds = [_grid_line(B, Y, C, centers, n, q, LOG_LAMBDA_SEEDS)[1] for q in combos]
     R = np.linalg.qr(B, mode="r")
     return [_search(B, Y, C, R, centers, n, q, seed) for q, seed in zip(combos, seeds)]

@@ -14,17 +14,18 @@ from helpers import make_basis_problem
 
 def _force(monkeypatch, on: bool) -> list:
     """Turn the worker on or off, whatever this machine's CPU count; returns the
-    list that records whether each ``trsm`` and ``trmm`` ran off this thread."""
+    list that records whether each ``trsm``, ``trmm`` and order search (``_search``)
+    ran off this thread."""
     monkeypatch.setattr(_blas, "_cpus", lambda: 2 if on else 1)
     off_thread = []
-    for name in ("trsm", "trmm"):
-        real = getattr(_blas, name)
+    for module, name in ((_blas, "trsm"), (_blas, "trmm"), (network, "_search")):
+        real = getattr(module, name)
 
         def recorded(*args, _real=real, _caller=threading.get_ident(), **kwargs):
             off_thread.append(threading.get_ident() != _caller)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(_blas, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     return off_thread
 
 
@@ -109,7 +110,10 @@ class TestWorkerChangesNoBit:
     def test_an_empty_basis_has_zero_traces(self, worker):
         assert influence_traces(np.zeros((4, 0)), np.zeros((0, 0)), 4) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("n, d, seed, s", [(80, 2, 4, 2), (60, 2, 7, 3), (40, 3, 5, 1)])
+    # d = 1 calls neither ``trsm`` nor ``trmm``: there the worker takes the q = 1
+    # search, at l = 11 of n = 40 and at l = 55 of n = 60
+    @pytest.mark.parametrize("n, d, seed, s", [(80, 2, 4, 2), (60, 2, 7, 3), (40, 3, 5, 1),
+                                               (40, 1, 2, 1), (60, 1, 3, 8)])
     def test_every_field_of_the_search_is_the_same(self, monkeypatch, n, d, seed, s):
         prob = make_basis_problem(n, d, seed=seed, s=s)
         args = prob["B"], prob["Y"], prob["centers"], n
@@ -118,10 +122,37 @@ class TestWorkerChangesNoBit:
             off_thread = _force(monkeypatch, on)
             found[on] = optimize_gcv(*args)
             assert any(off_thread) == on
+        assert np.isfinite(found[False].cost)
         for field in dataclasses.fields(found[False]):
             inline, threaded = getattr(found[False], field.name), getattr(found[True], field.name)
             assert np.array_equal(inline, threaded), field.name
             assert np.asarray(inline).tobytes() == np.asarray(threaded).tobytes()
+
+
+def _submit_from_the_worker():
+    outer = threading.get_ident()
+    thread, inner = _blas.submit(lambda: (threading.get_ident(),
+                                          _blas.submit(threading.get_ident)()))()
+    assert thread != outer and inner == thread
+
+
+def test_a_call_submitted_from_the_worker_runs_there_at_once(monkeypatch):
+    # queued behind the call that submitted it, it would wait forever; in a
+    # child, so that a stuck worker cannot hold up this process's exit
+    _force(monkeypatch, True)
+    child = multiprocessing.get_context("fork").Process(target=_submit_from_the_worker)
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a call submitted from the worker did not finish within 30 s")
+    assert child.exitcode == 0
+
+
+def test_inline_calls_give_their_value(monkeypatch):
+    _force(monkeypatch, False)
+    assert _blas.submit(threading.get_ident)() == threading.get_ident()
 
 
 def _fit_in_child(args, expect):

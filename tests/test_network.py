@@ -1,5 +1,6 @@
 import itertools
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -259,8 +260,11 @@ class TestOptimize:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_decreasing_costs_pick_the_last_order_combination(self, monkeypatch, d):
-        costs = iter(np.arange(2.0**d, 0.0, -1.0))
-        monkeypatch.setattr(network, "_search", lambda *args: (np.full(d, 0.1), next(costs)))
+        # keyed by the orders q, not by call order: d = 1 searches on two threads
+        combos = list(itertools.product((1, 2), repeat=d))
+        costs = dict(zip(combos, np.arange(2.0**d, 0.0, -1.0)))
+        monkeypatch.setattr(network, "_search", lambda B, Y, C, R, centers, n, q, seed=None:
+                            (np.full(d, 0.1), costs[q]))
         prob = make_basis_problem(40, d, seed=3, s=1)
         fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
         assert fs.q == (2,) * d
@@ -380,15 +384,18 @@ class TestGoldenSection:
     def test_no_pass_repeats_the_interval_of_the_last(self, monkeypatch):
         # a pass that fails to lower the cost leaves the incumbent in place,
         # so another pass would search the same interval from the same point
-        searches = []
+        # the passes of each search, by the thread it runs on: d = 1 searches
+        # its two orders on two threads
+        searches, current = [], threading.local()
         real_search, real_golden = network._search, network._golden_section
 
         def search(*args):
-            searches.append([])
+            current.passes = []
+            searches.append(current.passes)
             return real_search(*args)
 
         def golden(f, a, b, tol):
-            searches[-1].append((a, b))
+            current.passes.append((a, b))
             return real_golden(f, a, b, tol)
 
         monkeypatch.setattr(network, "_search", search)
