@@ -2,14 +2,14 @@
 
 They are the routines of ``scipy.linalg.blas.dtrsm`` and ``dtrmm``, reached through
 the function pointers of ``scipy.linalg.cython_blas``: the same bits, but ctypes
-releases the GIL, which the f2py wrappers hold.  ``submit`` hands one such call,
-or one d = 1 order search, to a worker thread, made on first use and again in a
-child after ``fork()``.
+releases the GIL, which the f2py wrappers hold.  ``each`` runs a sequence of
+independent calls, such as those or the d = 1 order searches, every one but the
+last on a worker thread, made on first use and again in a child after ``fork()``.
 """
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 from scipy.linalg import cython_blas
 
@@ -52,19 +52,29 @@ def _mark_worker():
     _thread.on_worker = True
 
 
-def submit(fn, *args):
-    """Start fn(*args) on the worker if this process may run on two CPUs, else run it
-    now; returns the call that waits for it and gives its value.  A call made on the
-    worker itself runs now, instead of queueing behind the call that made it.
+def each(calls) -> list:
+    """The values of the independent calls ``(fn, *args)`` in ``calls``, in order.
+
+    With two CPUs, each call but the last starts on the worker once the next is drawn,
+    and the last runs here; every worker call has ended when this returns or raises.
+    On one CPU, or on the worker (not to queue behind its own caller), all run here.
 
     Give the worker only leaf calls on arrays the caller allocated: what the worker
     allocates grows a second malloc arena.  The one exception is a d = 1 order
     search (``network._searches``), whose arena then holds one pencil line: about
     6 l^2 doubles at its ``eigh``, plus n l."""
     if _cpus() < 2 or getattr(_thread, "on_worker", False):
-        value = fn(*args)
-        return lambda: value
+        return [fn(*args) for fn, *args in calls]
     pid = os.getpid()
     worker = _workers.get(pid) or _workers.setdefault(
         pid, ThreadPoolExecutor(1, initializer=_mark_worker))
-    return worker.submit(fn, *args).result
+    started, last = [], None
+    try:
+        for call in calls:
+            if last is not None:
+                started.append(worker.submit(*last))
+            last = call
+        value = [] if last is None else [last[0](*last[1:])]
+    finally:
+        wait(started)
+    return [future.result() for future in started] + value

@@ -58,8 +58,8 @@ def diameter_T(X: np.ndarray) -> float:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if X.shape[0] < 2:
-        raise ValueError("need at least two points to measure a diameter")
+    if X.ndim != 2 or X.shape[0] < 2:
+        raise ValueError(f"need an n x d table of at least two points, got shape {X.shape}")
     with np.errstate(over="ignore"):
         diam2 = float(_sq_distances(X, X).max())
     if not np.isfinite(diam2):
@@ -118,8 +118,9 @@ def _sq_distances(A, B, epsilon=None) -> np.ndarray:
                 np.subtract(At[k], Bt[k, r:r + rows, None], out=t)
                 tile += np.square(t, out=t)
             if epsilon is not None:
-                np.divide(tile, -epsilon, out=tile)
-                np.exp(tile, out=tile)
+                with np.errstate(over="ignore"):  # a tiny epsilon: -inf, whose exp is 0
+                    np.divide(tile, -epsilon, out=tile)
+                    np.exp(tile, out=tile)
     finally:
         if narrow:
             np.setbufsize(size)
@@ -139,8 +140,8 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, epsilon: float) -> np.ndarray:
         raise ValueError("epsilon must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError(f"need point tables of one dimension, got shapes {A.shape} and {B.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("nonfinite coordinates")
     return _sq_distances(A, B, epsilon)

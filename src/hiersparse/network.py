@@ -20,9 +20,9 @@ Every Cholesky factor of a penalized system, and its inverse, comes from
 ``_PenalizedSystem``, here and in ``predict``; every run-time caller gives
 it the penalty as its band (``penalty_band``), never as a dense matrix.
 A Newton point's independent triangular products (column blocks of the trace
-solve, one per penalty dimension in the Hessian) are shared with the ``_blas``
-worker when the process may use two CPUs, and so is one of the two order
-searches of a d = 1 scale; none is split, so no bit changes.
+solve, one per penalty dimension in the Hessian) and the two order searches of
+a d = 1 scale each go through one ``_blas.each``, which runs all but the last
+on its worker when the process may use two CPUs; none is split, so no bit changes.
 """
 from __future__ import annotations
 
@@ -112,17 +112,12 @@ def _lower_solve(L: np.ndarray, T: np.ndarray) -> np.ndarray:
 
     Column j of T is zero above row j, and so is column j of the result, so
     each of ``_TRACE_BLOCKS`` column blocks is solved from its diagonal down, by
-    one xTRSM in place in a copy of T: the first (largest) on the ``_blas`` worker.
+    one xTRSM in place in a copy of T; ``_blas.each`` leaves the largest to this thread.
     """
     out = np.array(T, order="F")
     edges = np.linspace(0, T.shape[1], _TRACE_BLOCKS + 1).astype(int)
-    blocks = [(L[a:, a:], out[a:, a:b]) for a, b in zip(edges[:-1], edges[1:])]
-    first = _blas.submit(_blas.trsm, 1.0, *blocks[0])
-    try:
-        for block in blocks[1:]:
-            _blas.trsm(1.0, *block)
-    finally:
-        first()
+    _blas.each((_blas.trsm, 1.0, L[a:, a:], out[a:, a:b])
+               for a, b in reversed(list(zip(edges[:-1], edges[1:]))))
     return out
 
 
@@ -319,27 +314,23 @@ class _GCVSurface:
         return point
 
     def derivatives(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the cost in log10 Lambda at ``point``.  Each
-        Z_i but the last is formed on the ``_blas`` worker while P_{i+1} A forms."""
+        """Gradient and Hessian of the cost in log10 Lambda at ``point``.  ``_blas.each``
+        forms each Z_i but the last on its worker while P_{i+1} A forms here."""
         n, d, system = self.n, len(self.actions), point.system
         A = system.V
         del system.V  # A takes V's memory; V is formed again if read
         A = _blas.trmm(1.0, system.Linv, A, trans=True)
         scale = n * point.lam
-        dtau, Z, waits = np.empty(d), [], []
-        try:
+        dtau = np.empty(d)
+
+        def products():
             for i, (s_i, act) in enumerate(zip(scale, self.actions)):
                 PA = act(A)  # F-ordered, as A is
                 dtau[i] = -s_i * np.einsum("ij,ij->", A, PA)
-                Z.append(PA)  # Z_i, once its xTRMM has run in place
-                if i < d - 1:
-                    waits.append(_blas.submit(_blas.trmm, s_i, system.Linv, PA))
-                else:
-                    _blas.trmm(s_i, system.Linv, PA)
-        finally:
-            for wait in waits:
-                wait()
-        del A, PA
+                yield _blas.trmm, s_i, system.Linv, PA  # Z_i, in place
+
+        Z = _blas.each(products())
+        del A
         d2tau = np.diag(dtau)
         Ptheta = [s_i * act(point.theta) for s_i, act in zip(scale, self.actions)]
         dtheta = [-system.solve(v) for v in Ptheta]
@@ -433,10 +424,11 @@ def _floor_points(surface: _GCVSurface, rho: np.ndarray) -> list:
     return points
 
 
-def _grid_line(B, Y, C, centers, n, q, grid):
+def _grid_line(B, Y, C, centers, n, q):
     """(line, g, cost): the pencil line along Psi_1 + ... + Psi_d anchored at
-    10**grid[0], and its lowest point g on the log10 ``grid``; (None, None,
+    the box floor, and its lowest point g on ``LOG_LAMBDA_SEEDS``; (None, None,
     inf) when the anchor cannot be factored or every cost is +inf."""
+    grid = LOG_LAMBDA_SEEDS
     try:
         line = _PencilLine(C, B, Y, penalty_band(q, centers), n, 10.0 ** grid[0])
     except IllConditionedScaleError:
@@ -446,28 +438,28 @@ def _grid_line(B, Y, C, centers, n, q, grid):
     return (line, grid[k], costs[k]) if np.isfinite(costs[k]) else (None, None, np.inf)
 
 
-def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray | None, float]:
-    """``optimize_lambda`` for orders ``q`` with C = B^T B and, for d >= 2,
-    the thin-QR factor R of B and the log10 ``seed`` on the diagonal from
-    ``_searches`` (None when the seed line was degenerate)."""
-    d = len(q)
-    if d == 1:  # Newton on ``_GCVSurface`` gave the same t and Q_t, 1.9-2.2x slower
-        line, point, best_cost = _grid_line(B, Y, C, centers, n, q, LOG_LAMBDA_SEEDS)
-        if line is None:
-            return None, np.inf
-        step = LOG_LAMBDA_SEEDS[1] - LOG_LAMBDA_SEEDS[0]
-        for _ in range(REFINE_PASSES):
-            lo, hi = np.clip([point - step, point + step], *LOG_LAMBDA_BOUNDS)
-            x_best, c_best = _golden_section(lambda x: line.cost_at(10.0**x), lo, hi, REFINE_TOL)
-            if not c_best < best_cost:
-                break  # the next pass would search the same interval again
-            point, best_cost = x_best, c_best
-        return 10.0 ** np.asarray([point]), best_cost
+def _line_search(B, Y, C, centers, n, q) -> tuple[np.ndarray | None, float]:
+    """``optimize_lambda`` for d = 1 with C = B^T B, by golden section on the pencil line
+    of orders ``q`` (Newton on ``_GCVSurface``: the same t and Q_t, 1.9-2.2x slower)."""
+    line, point, best_cost = _grid_line(B, Y, C, centers, n, q)
+    if line is None:
+        return None, np.inf
+    step = LOG_LAMBDA_SEEDS[1] - LOG_LAMBDA_SEEDS[0]
+    for _ in range(REFINE_PASSES):
+        lo, hi = np.clip([point - step, point + step], *LOG_LAMBDA_BOUNDS)
+        x_best, c_best = _golden_section(lambda x: line.cost_at(10.0**x), lo, hi, REFINE_TOL)
+        if not c_best < best_cost:
+            break  # the next pass would search the same interval again
+        point, best_cost = x_best, c_best
+    return 10.0 ** np.asarray([point]), best_cost
 
+
+def _newton_search(surface: _GCVSurface, seed) -> tuple[np.ndarray | None, float]:
+    """``optimize_lambda`` for d >= 2 on ``surface`` from the log10 ``seed`` on
+    the diagonal (None when the seed line was degenerate)."""
     if seed is None:
         return None, np.inf
-    surface = _GCVSurface(B, Y, C, R, centers, n, q)
-    rho = np.full(d, seed)
+    rho = np.full(len(surface.actions), seed)
     found = _floor_points(surface, rho)
     for _ in range(REFINE_PASSES):
         end = _newton(surface, rho, REFINE_TOL)
@@ -479,25 +471,19 @@ def _search(B, Y, C, R, centers, n, q, seed=None) -> tuple[np.ndarray | None, fl
 
 
 def _searches(B, Y, C, centers, n, combos) -> list:
-    """``_search`` of each order combination in ``combos``, in their order.
+    """(Lambda, cost) of each order combination in ``combos``, in their order.
 
-    For d = 1 with two combinations, the first searches on the ``_blas``
-    worker while the second searches here; the searches share no state, so no
-    bit changes, and each holds its own pencil line.  For d >= 2 every seed
-    line runs, and is freed, before the thin-QR factor R of B is formed for
-    the Newton descents, so R is alive in no line's ``eigh``."""
+    For d = 1, ``_blas.each`` runs the ``_line_search`` of every combination but
+    the last on its worker and the last here; the searches share no state, so no
+    bit changes, and each holds its own pencil line.  For d >= 2 every seed line
+    runs, and is freed, before the thin-QR factor R of B is formed for the
+    ``_newton_search`` of each combination, so R is alive in no line's ``eigh``."""
     if centers.shape[1] == 1:
-        if len(combos) == 1:
-            return [_search(B, Y, C, None, centers, n, combos[0])]
-        first = _blas.submit(_search, B, Y, C, None, centers, n, combos[0])
-        try:
-            rest = [_search(B, Y, C, None, centers, n, q) for q in combos[1:]]
-        finally:
-            found = first()
-        return [found, *rest]
-    seeds = [_grid_line(B, Y, C, centers, n, q, LOG_LAMBDA_SEEDS)[1] for q in combos]
+        return _blas.each((_line_search, B, Y, C, centers, n, q) for q in combos)
+    seeds = [_grid_line(B, Y, C, centers, n, q)[1] for q in combos]
     R = np.linalg.qr(B, mode="r")
-    return [_search(B, Y, C, R, centers, n, q, seed) for q, seed in zip(combos, seeds)]
+    return [_newton_search(_GCVSurface(B, Y, C, R, centers, n, q), seed)
+            for q, seed in zip(combos, seeds)]
 
 
 def _prepared(B, Y, centers):

@@ -59,6 +59,8 @@ def _query_matrix(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
     """X_m as an m x d table; a flat array is m points when d = 1, else one."""
     X_m = np.asarray(X_m, dtype=float)
     X_m = X_m[:, None] if X_m.ndim == 1 and model.X_t.shape[1] == 1 else np.atleast_2d(X_m)
+    if X_m.ndim != 2:
+        raise ValueError(f"queries must be an m x d table, got shape {X_m.shape}")
     if X_m.shape[1] != model.X_t.shape[1]:
         raise ValueError(
             f"query dimension {X_m.shape[1]} does not match model dimension "

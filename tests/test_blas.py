@@ -3,38 +3,41 @@ every result has the bits of scipy's f2py wrappers, with the worker or without."
 import dataclasses
 import multiprocessing
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg.blas import dtrmm, dtrsm
 
-from hiersparse import _blas, influence_traces, network, optimize_gcv
+from hiersparse import _blas, influence_traces, network, optimize_gcv, optimize_lambda
 from helpers import make_basis_problem
 
 
 def _force(monkeypatch, on: bool) -> list:
     """Turn the worker on or off, whatever this machine's CPU count; returns the
-    list that records whether each ``trsm``, ``trmm`` and order search (``_search``)
-    ran off this thread."""
+    list that records each ``trsm``, ``trmm`` and d = 1 order search (``_line_search``):
+    its ``args`` and ``kwargs``, and whether it ran ``off`` this thread."""
     monkeypatch.setattr(_blas, "_cpus", lambda: 2 if on else 1)
-    off_thread = []
-    for module, name in ((_blas, "trsm"), (_blas, "trmm"), (network, "_search")):
+    calls = []
+    for module, name in ((_blas, "trsm"), (_blas, "trmm"), (network, "_line_search")):
         real = getattr(module, name)
 
         def recorded(*args, _real=real, _caller=threading.get_ident(), **kwargs):
-            off_thread.append(threading.get_ident() != _caller)
+            calls.append(SimpleNamespace(args=args, kwargs=kwargs,
+                                         off=threading.get_ident() != _caller))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recorded)
-    return off_thread
+    return calls
 
 
 @pytest.fixture(params=[True, False], ids=["worker", "inline"])
 def worker(request, monkeypatch):
     """Runs its test with the worker on and off, and checks that it ran only when on."""
-    off_thread = _force(monkeypatch, request.param)
+    calls = _force(monkeypatch, request.param)
     yield
-    assert any(off_thread) == request.param
+    assert any(call.off for call in calls) == request.param
 
 
 def _triangular(l, seed):
@@ -119,9 +122,9 @@ class TestWorkerChangesNoBit:
         args = prob["B"], prob["Y"], prob["centers"], n
         found = {}
         for on in (False, True):
-            off_thread = _force(monkeypatch, on)
+            calls = _force(monkeypatch, on)
             found[on] = optimize_gcv(*args)
-            assert any(off_thread) == on
+            assert any(call.off for call in calls) == on
         assert np.isfinite(found[False].cost)
         for field in dataclasses.fields(found[False]):
             inline, threaded = getattr(found[False], field.name), getattr(found[True], field.name)
@@ -131,9 +134,10 @@ class TestWorkerChangesNoBit:
 
 def _submit_from_the_worker():
     outer = threading.get_ident()
-    thread, inner = _blas.submit(lambda: (threading.get_ident(),
-                                          _blas.submit(threading.get_ident)()))()
-    assert thread != outer and inner == thread
+    nested = [(threading.get_ident,)] * 2
+    (thread, inner), here = _blas.each([
+        (lambda: (threading.get_ident(), _blas.each(nested)),), (threading.get_ident,)])
+    assert thread != outer and inner == [thread, thread] and here == outer
 
 
 def test_a_call_submitted_from_the_worker_runs_there_at_once(monkeypatch):
@@ -152,7 +156,78 @@ def test_a_call_submitted_from_the_worker_runs_there_at_once(monkeypatch):
 
 def test_inline_calls_give_their_value(monkeypatch):
     _force(monkeypatch, False)
-    assert _blas.submit(threading.get_ident)() == threading.get_ident()
+    here = threading.get_ident()
+    assert _blas.each([(threading.get_ident,), (abs, -2), (max, 3, 4)]) == [here, 2, 4]
+    assert _blas.each([]) == []
+
+
+class TestHandOffRule:
+    """With the worker on: which calls ``each`` runs where, and when it returns."""
+
+    def test_all_but_the_last_call_run_on_the_worker_in_order(self, monkeypatch):
+        _force(monkeypatch, True)
+        here = threading.get_ident()
+        *threads, value = _blas.each([(threading.get_ident,)] * 3 + [(max, 3, 4)])
+        assert threads[0] == threads[1] == threads[2] != here and value == 4
+        assert _blas.each([(threading.get_ident,)]) == [here]  # a lone call runs here
+        assert _blas.each(iter([])) == []
+
+    @pytest.mark.parametrize("failing", ["the last call", "drawing a call", "a worker call"])
+    def test_every_worker_call_has_ended_when_an_error_arrives(self, monkeypatch, failing):
+        _force(monkeypatch, True)
+        ended = threading.Event()
+
+        def slow():
+            time.sleep(0.3)
+            ended.set()
+
+        def fail():
+            raise RuntimeError(failing)
+
+        def calls():
+            if failing == "a worker call":
+                yield (fail,)
+            yield (slow,)
+            if failing == "drawing a call":
+                yield (abs, -1)
+                fail()
+            yield (fail,) if failing == "the last call" else (ended.wait, 5.0)
+
+        with pytest.raises(RuntimeError, match=failing):
+            _blas.each(calls())
+        assert ended.is_set()
+
+    def test_the_largest_trace_block_is_solved_here(self, monkeypatch):
+        l = 40
+        L = _triangular(l, 1)
+        T = np.asfortranarray(np.tril(np.random.default_rng(1).standard_normal((l, l))))
+        calls = _force(monkeypatch, True)
+        network._lower_solve(L, T)
+        edges = np.linspace(0, l, network._TRACE_BLOCKS + 1).astype(int)
+        blocks = {call.args[1].shape[0]: call.off for call in calls}
+        assert blocks == {l - a: a > 0 for a in edges[:-1]}
+
+    def test_the_last_hessian_product_is_formed_here(self, monkeypatch):
+        prob = make_basis_problem(40, 3, seed=5, s=1)
+        B, Y, centers, n = prob["B"], prob["Y"], prob["centers"], 40
+        surface = network._GCVSurface(B, Y, B.T @ B, np.linalg.qr(B, mode="r"),
+                                      centers, n, (1, 2, 1))
+        point = surface.at(np.array([-3.0, -2.0, -4.0]))
+        assert np.isfinite(point.cost)
+        calls = _force(monkeypatch, True)
+        surface.derivatives(point)
+        products = {call.args[0]: call.off for call in calls if not call.kwargs}
+        assert products == {s_i: i < 2 for i, s_i in enumerate(n * point.lam)}
+
+    def test_the_last_order_search_runs_here_and_a_lone_one_inline(self, monkeypatch):
+        prob = make_basis_problem(60, 1, seed=3, s=8)
+        args = prob["B"], prob["Y"], prob["centers"], 60
+        calls = _force(monkeypatch, True)
+        optimize_gcv(*args)
+        assert {call.args[-1]: call.off for call in calls} == {(1,): True, (2,): False}
+        calls.clear()
+        optimize_lambda(*args, (1,))
+        assert [(call.args[-1], call.off) for call in calls] == [((1,), False)]
 
 
 def _fit_in_child(args, expect):

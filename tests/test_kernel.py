@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +104,11 @@ class TestDiameter:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             diameter_T(np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 1), (2, 1, 2), ()])
+    def test_arrays_that_are_no_point_table_are_refused_by_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            diameter_T(np.zeros(shape))
 
 
 class TestLengthScale:
@@ -212,6 +219,24 @@ class TestGram:
     def test_kernel_matrix_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernel_matrix(np.zeros((2, 1)), np.zeros((2, 2)), 1.0)
+
+    @pytest.mark.parametrize("A, B", [((3, 2, 1), (4, 2)), ((2, 1, 2), (4, 2)),
+                                      ((4, 2), (3, 2, 1))])
+    def test_kernel_matrix_refuses_arrays_of_more_than_two_axes_by_shape(self, A, B):
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {A} and {B}")):
+            kernel_matrix(np.zeros(A), np.zeros(B), 1.0)
+
+    @pytest.mark.parametrize("d, m", [(1, 2), (1, 100), (2, 100)])
+    def test_a_tiny_epsilon_gives_the_zero_kernel_without_a_warning(self, d, m):
+        # d^2 / epsilon overflows to inf, and exp(-inf) = 0 is the right entry;
+        # m = 100 runs the narrow-buffer path, d = 2 several tiles
+        X = np.arange(m * d, dtype=float).reshape(m, d)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = kernel_matrix(X, X[:70], 1e-320)
+        assert np.array_equal(K, np.eye(m, min(m, 70)))
+        assert np.geterr() == before
 
 
 class TestBufferSize:

@@ -252,7 +252,8 @@ class TestOptimize:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_equal_costs_keep_the_first_order_combination(self, monkeypatch, d):
-        monkeypatch.setattr(network, "_search", lambda *args: (np.full(d, 0.1), 1.0))
+        for name in ("_line_search", "_newton_search"):
+            monkeypatch.setattr(network, name, lambda *args: (np.full(d, 0.1), 1.0))
         prob = make_basis_problem(40, d, seed=3, s=1)
         fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
         assert fs.q == (1,) * d
@@ -260,10 +261,14 @@ class TestOptimize:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_decreasing_costs_pick_the_last_order_combination(self, monkeypatch, d):
-        # keyed by the orders q, not by call order: d = 1 searches on two threads
+        # keyed by the orders q, not by call order: d = 1 searches on two threads.
+        # For d >= 2 a stand-in surface, its orders q, carries them to the search
         combos = list(itertools.product((1, 2), repeat=d))
         costs = dict(zip(combos, np.arange(2.0**d, 0.0, -1.0)))
-        monkeypatch.setattr(network, "_search", lambda B, Y, C, R, centers, n, q, seed=None:
+        monkeypatch.setattr(network, "_line_search", lambda B, Y, C, centers, n, q:
+                            (np.full(d, 0.1), costs[q]))
+        monkeypatch.setattr(network, "_GCVSurface", lambda B, Y, C, R, centers, n, q: q)
+        monkeypatch.setattr(network, "_newton_search", lambda q, seed:
                             (np.full(d, 0.1), costs[q]))
         prob = make_basis_problem(40, d, seed=3, s=1)
         fs = optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
@@ -384,28 +389,27 @@ class TestGoldenSection:
     def test_no_pass_repeats_the_interval_of_the_last(self, monkeypatch):
         # a pass that fails to lower the cost leaves the incumbent in place,
         # so another pass would search the same interval from the same point
-        # the passes of each search, by the thread it runs on: d = 1 searches
-        # its two orders on two threads
-        searches, current = [], threading.local()
-        real_search, real_golden = network._search, network._golden_section
+        # the passes of each search, keyed by its problem and orders q and
+        # recorded by the thread it runs on: d = 1 searches its two orders on two threads
+        searches, current = {}, threading.local()
+        real_search, real_golden = network._line_search, network._golden_section
 
-        def search(*args):
-            current.passes = []
-            searches.append(current.passes)
-            return real_search(*args)
+        def search(B, Y, C, centers, n, q):
+            current.passes = searches[problem, q] = []
+            return real_search(B, Y, C, centers, n, q)
 
         def golden(f, a, b, tol):
             current.passes.append((a, b))
             return real_golden(f, a, b, tol)
 
-        monkeypatch.setattr(network, "_search", search)
+        monkeypatch.setattr(network, "_line_search", search)
         monkeypatch.setattr(network, "_golden_section", golden)
-        for seed, s in itertools.product(range(4), (1, 2, 3)):
-            prob = make_basis_problem(60, 1, seed=seed, s=s)
+        for problem in itertools.product(range(4), (1, 2, 3)):
+            prob = make_basis_problem(60, 1, seed=problem[0], s=problem[1])
             optimize_gcv(prob["B"], prob["Y"], prob["centers"], prob["n"])
         assert len(searches) == 24
-        assert any(len(passes) > 1 for passes in searches)
-        for passes in searches:
+        assert any(len(passes) > 1 for passes in searches.values())
+        for passes in searches.values():
             assert 1 <= len(passes) <= network.REFINE_PASSES
             assert all(a != b for a, b in zip(passes, passes[1:]))
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -488,6 +489,18 @@ class TestFlatQueries:
         _same_bits(predict_mean(model, point), predict_mean(model, point[None, :]), "mean")
         with pytest.raises(ValueError, match="query dimension 3"):
             predict_mean(model, np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(4, 2, 1), (2, 1, 2)])
+    def test_arrays_of_more_than_two_axes_are_refused_before_the_noise_fit(
+            self, monkeypatch, shape):
+        ds, model = _served(2)
+        predict._NOISE_FIT_MEMO.clear()
+        factors = _count_factorizations(monkeypatch)
+        for serve in (lambda X: predict_mean(model, X),
+                      lambda X: predict_intervals(model, ds, X)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                serve(np.zeros(shape))
+        assert factors == []
 
 
 _ROWS = predict._BLOCK_ROWS
