@@ -52,10 +52,11 @@ def _mark_worker():
     _thread.on_worker = True
 
 
-def each(calls) -> list:
-    """The values of the independent calls ``(fn, *args)`` in ``calls``, in order.
+def each(calls, count: int | None = None) -> list:
+    """The values of the independent calls ``(fn, *args)`` in ``calls``, in order;
+    ``count`` is how many it yields (``len(calls)`` by default).
 
-    With two CPUs, each call but the last starts on the worker once the next is drawn,
+    With two CPUs, each call but the last starts on the worker as soon as it is drawn,
     and the last runs here; every worker call has ended when this returns or raises.
     On one CPU, or on the worker (not to queue behind its own caller), all run here.
 
@@ -65,16 +66,14 @@ def each(calls) -> list:
     6 l^2 doubles at its ``eigh``, plus n l."""
     if _cpus() < 2 or getattr(_thread, "on_worker", False):
         return [fn(*args) for fn, *args in calls]
+    last = (len(calls) if count is None else count) - 1
     pid = os.getpid()
     worker = _workers.get(pid) or _workers.setdefault(
         pid, ThreadPoolExecutor(1, initializer=_mark_worker))
-    started, last = [], None
+    values = []  # a future for each worker call, then the values of those run here
     try:
-        for call in calls:
-            if last is not None:
-                started.append(worker.submit(*last))
-            last = call
-        value = [] if last is None else [last[0](*last[1:])]
+        for k, (fn, *args) in enumerate(calls):
+            values.append(worker.submit(fn, *args) if k < last else fn(*args))
     finally:
-        wait(started)
-    return [future.result() for future in started] + value
+        wait(values[:last])
+    return [future.result() for future in values[:last]] + values[last:]

@@ -19,10 +19,9 @@ the Newton search's derivatives work with l x l matrices, not l x n ones.
 Every Cholesky factor of a penalized system, and its inverse, comes from
 ``_PenalizedSystem``, here and in ``predict``; every run-time caller gives
 it the penalty as its band (``penalty_band``), never as a dense matrix.
-A Newton point's independent triangular products (column blocks of the trace
-solve, one per penalty dimension in the Hessian) and the two order searches of
-a d = 1 scale each go through one ``_blas.each``, which runs all but the last
-on its worker when the process may use two CPUs; none is split, so no bit changes.
+A trace solve's column blocks, a Hessian's products and the two order searches
+of a d = 1 scale each go through one ``_blas.each``, which starts all but the
+last on its worker; none is split, so no bit changes.
 """
 from __future__ import annotations
 
@@ -112,12 +111,12 @@ def _lower_solve(L: np.ndarray, T: np.ndarray) -> np.ndarray:
 
     Column j of T is zero above row j, and so is column j of the result, so
     each of ``_TRACE_BLOCKS`` column blocks is solved from its diagonal down, by
-    one xTRSM in place in a copy of T; ``_blas.each`` leaves the largest to this thread.
+    one xTRSM in place in a copy of T: the first (largest) on the ``_blas`` worker.
     """
     out = np.array(T, order="F")
     edges = np.linspace(0, T.shape[1], _TRACE_BLOCKS + 1).astype(int)
-    _blas.each((_blas.trsm, 1.0, L[a:, a:], out[a:, a:b])
-               for a, b in reversed(list(zip(edges[:-1], edges[1:]))))
+    first, *rest = [(L[a:, a:], out[a:, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    _blas.each([(_blas.trsm, 1.0, *first), (lambda: [_blas.trsm(1.0, *b) for b in rest],)])
     return out
 
 
@@ -329,7 +328,7 @@ class _GCVSurface:
                 dtau[i] = -s_i * np.einsum("ij,ij->", A, PA)
                 yield _blas.trmm, s_i, system.Linv, PA  # Z_i, in place
 
-        Z = _blas.each(products())
+        Z = _blas.each(products(), d)
         del A
         d2tau = np.diag(dtau)
         Ptheta = [s_i * act(point.theta) for s_i, act in zip(scale, self.actions)]
@@ -479,7 +478,7 @@ def _searches(B, Y, C, centers, n, combos) -> list:
     runs, and is freed, before the thin-QR factor R of B is formed for the
     ``_newton_search`` of each combination, so R is alive in no line's ``eigh``."""
     if centers.shape[1] == 1:
-        return _blas.each((_line_search, B, Y, C, centers, n, q) for q in combos)
+        return _blas.each([(_line_search, B, Y, C, centers, n, q) for q in combos])
     seeds = [_grid_line(B, Y, C, centers, n, q)[1] for q in combos]
     R = np.linalg.qr(B, mode="r")
     return [_newton_search(_GCVSurface(B, Y, C, R, centers, n, q), seed)

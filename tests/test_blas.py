@@ -170,7 +170,18 @@ class TestHandOffRule:
         *threads, value = _blas.each([(threading.get_ident,)] * 3 + [(max, 3, 4)])
         assert threads[0] == threads[1] == threads[2] != here and value == 4
         assert _blas.each([(threading.get_ident,)]) == [here]  # a lone call runs here
-        assert _blas.each(iter([])) == []
+        assert _blas.each(iter([]), 0) == []
+
+    def test_a_worker_call_starts_before_the_next_is_drawn(self, monkeypatch):
+        _force(monkeypatch, True)
+        started = threading.Event()
+
+        def calls():
+            yield (started.set,)
+            assert started.wait(5.0), "the first call waited for the second to be drawn"
+            yield (abs, -1)
+
+        assert _blas.each(calls(), 2) == [None, 1]
 
     @pytest.mark.parametrize("failing", ["the last call", "drawing a call", "a worker call"])
     def test_every_worker_call_has_ended_when_an_error_arrives(self, monkeypatch, failing):
@@ -185,19 +196,17 @@ class TestHandOffRule:
             raise RuntimeError(failing)
 
         def calls():
-            if failing == "a worker call":
-                yield (fail,)
-            yield (slow,)
+            yield (fail,) if failing == "a worker call" else (slow,)
+            yield (slow,) if failing == "a worker call" else (abs, -1)
             if failing == "drawing a call":
-                yield (abs, -1)
                 fail()
             yield (fail,) if failing == "the last call" else (ended.wait, 5.0)
 
         with pytest.raises(RuntimeError, match=failing):
-            _blas.each(calls())
+            _blas.each(calls(), 3)
         assert ended.is_set()
 
-    def test_the_largest_trace_block_is_solved_here(self, monkeypatch):
+    def test_the_largest_trace_block_is_solved_on_the_worker(self, monkeypatch):
         l = 40
         L = _triangular(l, 1)
         T = np.asfortranarray(np.tril(np.random.default_rng(1).standard_normal((l, l))))
@@ -205,7 +214,7 @@ class TestHandOffRule:
         network._lower_solve(L, T)
         edges = np.linspace(0, l, network._TRACE_BLOCKS + 1).astype(int)
         blocks = {call.args[1].shape[0]: call.off for call in calls}
-        assert blocks == {l - a: a > 0 for a in edges[:-1]}
+        assert blocks == {l - a: a == 0 for a in edges[:-1]}
 
     def test_the_last_hessian_product_is_formed_here(self, monkeypatch):
         prob = make_basis_problem(40, 3, seed=5, s=1)
