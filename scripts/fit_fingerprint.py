@@ -20,6 +20,12 @@ Two lines follow, one per CLI pipeline (schwefel1d, and bohachevsky2d on
 ``report`` with and without ``--data``.  Its ``cli`` digest covers every
 command's stdout and the name and bytes of every file they write.
 
+The BLAS library runs one thread unless the shell exports a count: like the
+root ``conftest.py``, the script defaults ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before numpy loads, and an
+exported value wins.  A thread count changes the order of floating-point
+sums, so without the default the digests would depend on the shell.
+
 Comparing two commits is one ``diff`` of this script's output at each:
 
     PYTHONPATH=src python3 scripts/fit_fingerprint.py > fingerprint.txt
@@ -35,7 +41,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads the BLAS library
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 

@@ -10,6 +10,7 @@ as lists of rows.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import CSVParseError
 from .kernel import Dataset
 from .model import ScaleRecord, SparseModel
+from .penalty import ORDERS
 from .predict import _BLOCK_ROWS
 
 SCHEMA_VERSION = 2
@@ -50,26 +52,6 @@ def sha256_of(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _num(x):
-    # JSON-safe scalar: infinities map to null (failed-scale sentinel)
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def _record_to_dict(rec: ScaleRecord) -> dict:
-    return {
-        "s": rec.s,
-        "epsilon_s": rec.epsilon_s,
-        "l_s": rec.l_s,
-        "comp_s": rec.comp_s,
-        "cost": _num(rec.cost),
-        "lambda": None if rec.lam is None else [float(v) for v in rec.lam],
-        "q": None if rec.q is None else [int(v) for v in rec.q],
-        "seed": rec.seed,
-        "points": rec.points.tolist(),
-    }
 
 
 def _integral(value, field: str) -> int:
@@ -104,17 +86,23 @@ def _record_from_dict(d: dict, field: str) -> ScaleRecord:
 
 
 def model_to_dict(model: SparseModel) -> dict:
-    return {
-        "t": model.t,
-        "epsilon_t": model.epsilon_t,
-        "X_t": model.X_t.tolist(),
-        "Y_t": model.Y_t.tolist(),
-        "C_t": model.C_t.tolist(),
-        "Lambda_t": [float(v) for v in model.Lambda_t],
-        "Q_t": [int(v) for v in model.Q_t],
-        "n_train": model.n_train,
-        "history": [_record_to_dict(rec) for rec in model.history],
-    }
+    """``model`` as its file holds it, read off the dataclasses (``_plain``)."""
+    return _plain(model)
+
+
+def _plain(value):
+    """A dataclass as a dict of its fields in order (``lam`` keyed "lambda"), a list
+    item by item, arrays and tuples as lists, a numpy scalar as the Python number
+    it equals, and a nonfinite float (an unfit scale's cost) as null."""
+    if dataclasses.is_dataclass(value):
+        return {"lambda" if f.name == "lam" else f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, list):
+        return list(map(_plain, value))
+    if isinstance(value, (np.ndarray, tuple)):
+        return np.asarray(value).tolist()
+    value = value.item() if isinstance(value, np.generic) else value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _record_rules(rec: ScaleRecord, i: int, d: int) -> list:
@@ -132,7 +120,7 @@ def _record_rules(rec: ScaleRecord, i: int, d: int) -> list:
         (np.isfinite(numbers).all(), f"{at} numbers finite, bar a null cost"),
         (rec.lam is None or (lam.shape == (d,) and np.all(lam > 0)),
          f"{at}.lambda d values > 0, or null"),
-        (rec.q is None or (len(rec.q) == d and set(rec.q) <= {1, 2}),
+        (rec.q is None or (len(rec.q) == d and set(rec.q) <= set(ORDERS)),
          f"{at}.q d entries in {{1, 2}}, or null"),
         ((rec.lam is None) == (rec.q is None) == unfit,
          f"{at}.lambda and q null exactly when its cost is"),
@@ -228,11 +216,13 @@ def export_dataset_csv(path, dataset: Dataset) -> None:
     write_csv(path, cols, np.column_stack([dataset.X, dataset.Y]))
 
 
-def _is_finite_number(cell: str) -> bool:
+def _number(cell: str):
+    """The finite float in a CSV cell, or the word for why there is none."""
     try:
-        return math.isfinite(float(cell))
+        value = float(cell)
     except ValueError:
-        return False
+        return "non-numeric"
+    return value if math.isfinite(value) else "nonfinite"
 
 
 def read_points_csv(path, has_header: bool = False) -> np.ndarray:
@@ -250,7 +240,7 @@ def read_points_csv(path, has_header: bool = False) -> np.ndarray:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError:
         raise CSVParseError(f"{path}: not UTF-8 text") from None
-    if has_header and rows and rows[0] and all(_is_finite_number(c) for c in rows[0]):
+    if has_header and rows and rows[0] and all(isinstance(_number(c), float) for c in rows[0]):
         raise CSVParseError(
             f"{path}: row 1 is read as a header but holds only numbers; "
             "is this file header-less?"
@@ -260,24 +250,16 @@ def read_points_csv(path, has_header: bool = False) -> np.ndarray:
     if not data_rows:
         raise CSVParseError(f"{path}: no data rows")
     width = len(data_rows[0][1])
-    out = np.empty((len(data_rows), width))
-    for out_i, (rownum, row) in enumerate(data_rows):
+    values = []
+    for rownum, row in data_rows:
         if len(row) != width:
             raise CSVParseError(
                 f"{path}: row {rownum} has {len(row)} columns, expected {width}"
             )
-        for col, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
+        for col, cell in enumerate(row, 1):
+            value = _number(cell)
+            if type(value) is str:
                 raise CSVParseError(
-                    f"{path}: row {rownum}, column {col + 1}: "
-                    f"non-numeric value {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise CSVParseError(
-                    f"{path}: row {rownum}, column {col + 1}: "
-                    f"nonfinite value {cell!r}"
-                )
-            out[out_i, col] = value
-    return out
+                    f"{path}: row {rownum}, column {col}: {value} value {cell!r}")
+            values.append(value)
+    return np.array(values).reshape(-1, width)

@@ -45,8 +45,9 @@ def fit(
     once l_s reaches the number of distinct points in X (the Gram rank cannot
     exceed it) or ``max_scales`` scales have been fit.  An unfit scale is
     recorded as ``optimize_gcv`` returns it (cost +inf, lam and q None).
-    Out-of-range or mistyped settings (a bool, or a non-integer ``max_scales``,
-    ``seed`` or ``k_extra``) raise a ``ValueError`` before any Gram matrix is built.
+    Out-of-range or mistyped settings (a bool, a non-number ``T`` or ``M``, or a
+    non-integer ``max_scales``, ``seed`` or ``k_extra``) raise a ``ValueError``
+    before any Gram matrix is built.
     The sketch's Gaussian matrix meets the rows in dataset order, so permuting
     the rows can change the selected points, and with them the fit.
     """
@@ -62,7 +63,10 @@ def fit(
     if isinstance(T, bool) or not (T == "auto" if isinstance(T, str)
                                    else isinstance(T, numbers.Real)):
         raise ValueError(f"T must be 'auto' or a number, got {T!r}")
+    if isinstance(M, bool) or not isinstance(M, numbers.Real):
+        raise ValueError(f"M must be a number, got {M!r}")
     T_val = diameter_T(X) if isinstance(T, str) else float(T)
+    M, seed = float(M), int(seed)  # a numpy M or seed would reach every record
     n_distinct = np.unique(X, axis=0).shape[0]
 
     history: list[ScaleRecord] = []

@@ -16,6 +16,15 @@ import numpy as np
 from .errors import DegenerateGeometryError
 
 
+def point_table(X, d: int = 1) -> np.ndarray:
+    """X as an m x d float table: a scalar is one point, and a flat array one point
+    per entry when d = 1, else one point.  An array of more than two axes is refused."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim > 2:
+        raise ValueError(f"need an m x d table of points, got shape {X.shape}")
+    return X[:, None] if X.ndim == 1 and d == 1 else np.atleast_2d(X)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Observed sample: coordinates ``X`` (n x d) and responses ``Y`` (n)."""
@@ -24,11 +33,9 @@ class Dataset:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = point_table(self.X)
         Y = np.asarray(self.Y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        if X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"X must be a nonempty n x d matrix, got shape {X.shape}")
         if X.shape[0] != Y.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]} entries")
@@ -55,11 +62,9 @@ def diameter_T(X: np.ndarray) -> float:
     ``DegenerateGeometryError`` when every point coincides, or when the squared
     diameter leaves float range (overflow, or underflow to 0 for distinct points).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError(f"need an n x d table of at least two points, got shape {X.shape}")
+    shape, X = np.shape(X), point_table(X)
+    if X.shape[0] < 2:
+        raise ValueError(f"need an n x d table of at least two points, got shape {shape}")
     with np.errstate(over="ignore"):
         diam2 = float(_sq_distances(X, X).max())
     if not np.isfinite(diam2):

@@ -36,8 +36,8 @@ from scipy.linalg.lapack import dsygst, dtrtri
 
 from . import _blas
 from .errors import DegenerateGCVError, IllConditionedScaleError
-from .kernel import kernel_matrix
-from .penalty import component_action, penalty_band, weighted_penalty
+from .kernel import kernel_matrix, point_table
+from .penalty import ORDERS, component_action, penalty_band, weighted_penalty
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -486,10 +486,13 @@ def _searches(B, Y, C, centers, n, combos) -> list:
 
 
 def _prepared(B, Y, centers):
-    """(B, Y, centers, C) as float arrays, with C = B^T B checked finite."""
+    """(B, Y, centers, C) as float arrays, centers a table with one row per column
+    of B (``ValueError`` else), and C = B^T B checked finite."""
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float).ravel()
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = point_table(centers)
+    if B.ndim != 2 or B.shape[1] != len(centers):
+        raise ValueError(f"{len(centers)} centers for a basis of shape {B.shape}")
     return B, Y, centers, np.asarray_chkfinite(B.T @ B)
 
 
@@ -522,7 +525,7 @@ def optimize_lambda(
     """
     B, Y, centers, C = _prepared(B, Y, centers)
     d = centers.shape[1]
-    if len(q) != d or any(v not in (1, 2) for v in q):
+    if len(q) != d or any(v not in ORDERS for v in q):
         raise ValueError(f"penalty orders q={q!r} must be one of 1 or 2 for each of "
                          f"the d={d} dimensions")
     return _searches(B, Y, C, centers, n, [tuple(int(v) for v in q)])[0]
@@ -540,7 +543,7 @@ def optimize_gcv(B: np.ndarray, Y: np.ndarray, centers: np.ndarray, n: int) -> F
     positive semidefinite, to the line's anchor, which factored.
     """
     B, Y, centers, C = _prepared(B, Y, centers)
-    combos = list(itertools.product((1, 2), repeat=centers.shape[1]))
+    combos = list(itertools.product(ORDERS, repeat=centers.shape[1]))
     candidates = [(*found, q) for found, q in zip(_searches(B, Y, C, centers, n, combos), combos)]
     lam, cost, q = min(candidates, key=lambda c: c[1])
     if lam is None:

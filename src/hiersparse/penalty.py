@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import point_table
+
 
 @dataclass(frozen=True)
 class PenaltySpec:
@@ -32,7 +34,7 @@ class PenaltySpec:
         lam = np.asarray(self.Lambda, dtype=float).ravel()
         if len(Q) != lam.size:
             raise ValueError("Q and Lambda must have one entry per dimension")
-        if any(q not in (1, 2) for q in Q):
+        if any(q not in ORDERS for q in Q):
             raise ValueError("penalty orders must be 1 or 2")
         if not np.all(lam > 0):
             raise ValueError("all penalty weights must be positive")
@@ -49,6 +51,7 @@ class PenaltyMatrix:
 
 # row r of D^q holds its stencil at the centers of sorted ranks r, ..., r + q
 _STENCILS = {1: np.array([-1.0, 1.0]), 2: np.array([1.0, -2.0, 1.0])}
+ORDERS = tuple(_STENCILS)
 
 
 def _coordinate_order(points: np.ndarray, dim: int) -> np.ndarray:
@@ -62,9 +65,12 @@ def penalty_band(Q, points: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(index, values): the sorted row-major flat indices of the union of the
     nonzeros of Psi_1, ..., Psi_d, and each Psi_i's entries there (exact
     small integers, 0.0 where Psi_i has none).  Row r of D^q Pe_i adds
-    s_a s_b at (order[r + a], order[r + b]) of Psi_i, for stencil s."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
+    s_a s_b at (order[r + a], order[r + b]) of Psi_i, for stencil s.  ``ValueError``
+    when Q has fewer orders than the centers have dimensions."""
+    points = point_table(points, len(Q))
+    m, d = points.shape
+    if len(Q) < d:
+        raise ValueError(f"penalty orders Q={tuple(Q)!r} are fewer than the d={d} dimensions")
     flat, weights = [], []
     for i, q in enumerate(Q):
         if q not in _STENCILS:
@@ -84,7 +90,8 @@ def penalty_band(Q, points: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 def penalty_components(Q, points: np.ndarray) -> list[np.ndarray]:
     """Unweighted quadratic forms Psi_i = (D^{q_i} Pe_i)^T (D^{q_i} Pe_i):
     ``penalty_band`` scattered into zeros, so +0.0 everywhere off the band."""
-    m = np.atleast_2d(np.asarray(points, dtype=float)).shape[0]
+    points = point_table(points, len(Q))
+    m = len(points)
     index, values = penalty_band(Q, points)
     comps = [np.zeros((m, m)) for _ in values]
     for psi, v in zip(comps, values):
@@ -100,7 +107,7 @@ def component_action(q: int, points: np.ndarray, dim: int):
     transposed differences and scattered to basis order, in two buffers and
     in Z's layout; with fewer than q + 1 coefficients Psi is zero.
     """
-    order = _coordinate_order(np.atleast_2d(np.asarray(points, dtype=float)), dim)
+    order = _coordinate_order(point_table(points), dim)
     inverse, m = np.argsort(order), order.size
 
     def apply(Z: np.ndarray) -> np.ndarray:

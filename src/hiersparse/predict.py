@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDofError
-from .kernel import Dataset, kernel_matrix
+from .kernel import Dataset, kernel_matrix, point_table
 from .model import SparseModel
 from .penalty import penalty_band, weighted_penalty
 from .tdist import t_quantile
@@ -56,11 +56,8 @@ _BLOCK_ROWS = 1536
 
 
 def _query_matrix(model: SparseModel, X_m: np.ndarray) -> np.ndarray:
-    """X_m as an m x d table; a flat array is m points when d = 1, else one."""
-    X_m = np.asarray(X_m, dtype=float)
-    X_m = X_m[:, None] if X_m.ndim == 1 and model.X_t.shape[1] == 1 else np.atleast_2d(X_m)
-    if X_m.ndim != 2:
-        raise ValueError(f"queries must be an m x d table, got shape {X_m.shape}")
+    """X_m as an m x d table (``point_table`` with the model's d)."""
+    X_m = point_table(X_m, model.X_t.shape[1])
     if X_m.shape[1] != model.X_t.shape[1]:
         raise ValueError(
             f"query dimension {X_m.shape[1]} does not match model dimension "

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Dataset
+from .kernel import Dataset, point_table
 
 FAMILY_DIMS = {"schwefel1d": 1, "bohachevsky2d": 2}
 
@@ -64,12 +64,8 @@ def eval_true(family: str, x):
     if family not in FAMILY_DIMS:
         raise ValueError(f"unknown family {family!r}")
     d = FAMILY_DIMS[family]
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 0 or (X.ndim == 1 and d > 1)
-    if X.ndim == 0:
-        X = X.reshape(1, 1)
-    elif X.ndim == 1:
-        X = X.reshape(1, -1) if d > 1 else X.reshape(-1, 1)
+    X = point_table(x, d)
+    single = np.ndim(x) < min(d, 2)  # a scalar, or a flat array read as one point
     if X.shape[1] != d:
         raise ValueError(f"{family} expects {d}-dimensional inputs")
     if family == "schwefel1d":

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hiersparse import (
     predict_mean,
     sample,
 )
+from hiersparse.model import ScaleRecord, SparseModel
 from hiersparse.dataio import (
     export_dataset_csv,
     ingest_csv,
@@ -102,6 +104,19 @@ class TestReadPoints:
         with pytest.raises(CSVParseError, match=r"row 2, column 1: nonfinite value '-inf'"):
             read_points_csv(p)
 
+    @pytest.mark.parametrize("text, fault", [
+        ("0,1\n2,inf\n3\n4,abc\n", "row 2, column 2: nonfinite value 'inf'"),
+        ("0,1\n3\n2,inf\n4,abc\n", "row 2 has 1 columns, expected 2"),
+        ("0,1\n4,abc\n3\n2,inf\n", "row 2, column 2: non-numeric value 'abc'"),
+        ("0,1\n1e999,abc\n", "row 2, column 1: nonfinite value '1e999'"),
+        ("0,1\n2,3\n\n4\n", "row 4 has 1 columns, expected 2"),
+    ])
+    def test_the_first_fault_in_reading_order_is_named(self, tmp_path, text, fault):
+        p = tmp_path / "q.csv"
+        p.write_text(text)
+        with pytest.raises(CSVParseError, match=re.escape(f"q.csv: {fault}")):
+            read_points_csv(p)
+
     def test_numeric_first_row_is_not_a_header(self, tmp_path):
         p = tmp_path / "q.csv"
         p.write_text("0.5,1.5\n2.5,3.5\n")
@@ -182,6 +197,28 @@ class TestModelFile:
     def test_serialize_is_deterministic(self):
         model = _fitted_model(seed=1)
         assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(model))
+
+    def test_file_is_read_off_the_dataclasses(self):
+        # field order is the key order, lam is "lambda", tuples and arrays are lists,
+        # numpy scalars are the Python numbers they equal, an unfit cost is null
+        fit_rec = ScaleRecord(s=0, epsilon_s=2.0, l_s=1, comp_s=np.float32(0.5),
+                              cost=np.float64(0.25), lam=np.array([0.125]), q=(2,),
+                              seed=np.int64(7), points=np.array([[1.5]]))
+        unfit = ScaleRecord(s=1, epsilon_s=1.0, l_s=2, comp_s=0.0, cost=np.float64(np.inf),
+                            lam=None, q=None, seed=np.int64(8),
+                            points=np.array([[1.5], [-0.5]]))
+        model = SparseModel(t=0, epsilon_t=2.0, X_t=fit_rec.points, Y_t=np.array([3.0]),
+                            C_t=np.array([0.75]), Lambda_t=fit_rec.lam, Q_t=(2,), n_train=2,
+                            history=[fit_rec, unfit])
+        text = json.dumps(model_to_dict(model))
+        assert text == (
+            '{"t": 0, "epsilon_t": 2.0, "X_t": [[1.5]], "Y_t": [3.0], "C_t": [0.75], '
+            '"Lambda_t": [0.125], "Q_t": [2], "n_train": 2, "history": ['
+            '{"s": 0, "epsilon_s": 2.0, "l_s": 1, "comp_s": 0.5, "cost": 0.25, '
+            '"lambda": [0.125], "q": [2], "seed": 7, "points": [[1.5]]}, '
+            '{"s": 1, "epsilon_s": 1.0, "l_s": 2, "comp_s": 0.0, "cost": null, '
+            '"lambda": null, "q": null, "seed": 8, "points": [[1.5], [-0.5]]}]}')
+        assert json.dumps(model_to_dict(model_from_dict(json.loads(text)))) == text
 
     def test_failed_scale_cost_survives_as_null(self):
         model = _fitted_model(seed=2)

@@ -21,7 +21,7 @@ from hiersparse import (
     predict_mean,
     sample,
 )
-from hiersparse.dataio import model_to_dict
+from hiersparse.dataio import model_to_dict, save_model
 from hiersparse.synth import PROBLEMS, noise_sigma
 
 
@@ -143,6 +143,7 @@ class TestFitLoop:
         (dict(k_extra=2.5), "k_extra"), (dict(max_scales=2.5), "max_scales"),
         (dict(T=True), "T must be 'auto'"), (dict(seed=True), "seed"),
         (dict(k_extra=True), "k_extra"), (dict(max_scales=True), "max_scales"),
+        (dict(M="2"), "M must be a number"), (dict(M=True), "M must be a number"),
     ])
     def test_bad_settings_are_refused_before_any_gram(self, monkeypatch, bad, name):
         def never(*args, **kwargs):
@@ -171,6 +172,20 @@ class TestFitLoop:
         monkeypatch.setattr(hierarchy_mod, "optimize_gcv", optimize_gcv)
         model = fit(_small_dataset(seed=13), seed=13)
         assert len(grams) == len(model.history) > 1
+
+    def test_numpy_typed_settings_give_the_plain_fit_and_file(self, tmp_path):
+        # a float32 M once made every epsilon_s float32, and a numpy seed reached
+        # the records, where json could not write it
+        ds = _small_dataset(seed=14)
+        plain = fit(ds, M=2.0, seed=3)
+        save_model(tmp_path / "plain.json", plain, {}, {})
+        for typed in (dict(M=np.float32(2.0), seed=3), dict(M=2.0, seed=np.int64(3))):
+            model = fit(ds, **typed)
+            assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(plain))
+            assert all(type(r.epsilon_s) is float and type(r.seed) is int
+                       for r in model.history)
+            save_model(tmp_path / "typed.json", model, {}, {})
+            assert (tmp_path / "typed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_parameter_validation(self):
         ds = _small_dataset(seed=12)

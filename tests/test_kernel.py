@@ -16,7 +16,7 @@ from hiersparse import (
     length_scale,
     numerical_rank,
 )
-from hiersparse.kernel import _TILE
+from hiersparse.kernel import _TILE, point_table
 from helpers import brute_force_max_distance
 
 
@@ -51,6 +51,26 @@ def _dyadic(rng, rows, d):
 
 
 _SHIFTS = st.lists(st.integers(-(2**32), 2**32), min_size=3, max_size=3)
+
+
+class TestPointTable:
+    """``point_table``: the one reading of a caller's array as m points of d coordinates."""
+
+    @pytest.mark.parametrize("X, d, shape", [
+        (2.5, 1, (1, 1)), (2.5, 2, (1, 1)), ([1.0, 2.0, 3.0], 1, (3, 1)),
+        ([1.0, 2.0, 3.0], 2, (1, 3)), ([1.0, 2.0], 2, (1, 2)), (np.zeros((4, 2)), 1, (4, 2)),
+        (np.zeros(0), 1, (0, 1)),
+    ])
+    def test_scalars_flat_arrays_and_tables(self, X, d, shape):
+        table = point_table(X, d)
+        assert table.shape == shape and table.dtype == float
+        assert np.array_equal(table.ravel(), np.ravel(X))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 1), (1, 1, 1, 1)])
+    def test_more_than_two_axes_are_refused_by_shape(self, shape):
+        for call in (lambda X: point_table(X, 2), lambda X: Dataset(X=X, Y=np.zeros(3))):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                call(np.zeros(shape))
 
 
 class TestDataset:

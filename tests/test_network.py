@@ -301,6 +301,43 @@ class TestOptimize:
             optimize_lambda(prob["B"], prob["Y"], prob["centers"], prob["n"], q)
         assert factors == []
 
+    @pytest.mark.parametrize("count", [-1, 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_center_count_other_than_the_basis_columns_is_refused_before_any_factorization(
+            self, monkeypatch, d, count):
+        prob = make_basis_problem(60, d, seed=1, s=2)
+        B, Y, centers, n = prob["B"], prob["Y"], prob["centers"], prob["n"]
+        centers = centers[:count] if count < 0 else np.vstack([centers, centers[:count]])
+        factors = []
+        _counting(monkeypatch, "cho_factor", factors)
+        for search in (lambda: optimize_gcv(B, Y, centers, n),
+                       lambda: optimize_lambda(B, Y, centers, n, (1,) * d)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{len(centers)} centers for a basis of shape {B.shape}")):
+                search()
+        assert factors == []
+
+    def test_flat_centers_are_the_column(self):
+        prob = make_basis_problem(60, 1, seed=3, s=3)
+        B, Y, centers, n = prob["B"], prob["Y"], prob["centers"], prob["n"]
+        flat, column = (optimize_gcv(B, Y, c, n) for c in (centers[:, 0], centers))
+        assert (flat.q, flat.cost) == (column.q, column.cost)
+        assert np.array_equal(flat.lam, column.lam) and np.array_equal(flat.theta, column.theta)
+        for q in ((1,), (2,)):
+            (lam_f, cost_f), (lam_c, cost_c) = (optimize_lambda(B, Y, c, n, q)
+                                                for c in (centers[:, 0], centers))
+            assert cost_f == cost_c and np.array_equal(lam_f, lam_c)
+
+    def test_one_flat_center_of_two_coordinates_is_read_as_two_points(self):
+        prob = make_basis_problem(60, 2, seed=3, s=2)
+        B, Y, centers, n = prob["B"][:, :1], prob["Y"], prob["centers"][:1], prob["n"]
+        assert network._prepared(B, Y, centers)[2].shape == (1, 2)
+        for search in (lambda: optimize_gcv(B, Y, centers[0], n),
+                       lambda: optimize_lambda(B, Y, centers[0], n, (1, 1))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"2 centers for a basis of shape {B.shape}")):
+                search()
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_search_forms_no_dense_component(self, monkeypatch, d):
         def dense(*args, **kwargs):

@@ -44,6 +44,15 @@ class TestPermutationOperator:
         with pytest.raises(ValueError, match="dimension 2 out of range"):
             penalty_components((1, 2, 1), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("build", [
+        lambda pts: penalty_band((1,), pts),
+        lambda pts: penalty_components((2,), pts),
+        lambda pts: penalty_operator(PenaltySpec((1,), [1.0]), pts),
+    ])
+    def test_fewer_orders_than_dimensions_are_refused(self, build):
+        with pytest.raises(ValueError, match="are fewer than the d=2 dimensions"):
+            build(np.zeros((3, 2)))
+
 
 def _same_bits(a, b):
     """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
@@ -89,6 +98,9 @@ class TestBand:
                 F = _dense_factor(q, pts, i)
                 assert np.array_equal(psi, F.T @ F)
             assert np.all(np.count_nonzero(psi, axis=1) <= 2 * q + 1)
+        if d == 1:  # a flat array of centers is the column it holds
+            flat = penalty_components(Q, pts[:, 0])
+            assert len(flat) == 1 and _same_bits(flat[0], penalty_components(Q, pts)[0])
 
     def test_only_the_two_stencils(self):
         with pytest.raises(ValueError, match="order 3"):
@@ -107,6 +119,7 @@ class TestBand:
         assert by_rows.flags.c_contiguous and by_cols.flags.f_contiguous
         assert _same_bits(by_rows, _action_reference(q, pts, 0, Z))
         assert _same_bits(by_rows, by_cols)
+        assert _same_bits(component_action(q, pts[:, 0], 0)(Z), by_rows)  # flat centers
         for j in range(Z.shape[1]):
             assert _same_bits(act(Z[:, j].copy()), by_rows[:, j])
 
@@ -118,6 +131,7 @@ class TestPenaltyOperator:
         P = penalty_operator(spec, pts).P
         D = difference_matrix_oracle(1, 4)
         assert np.array_equal(P, D.T @ D)
+        assert _same_bits(penalty_operator(spec, pts[:, 0]).P, P)  # flat centers
         assert np.allclose(np.diag(P), [1.0, 2.0, 2.0, 1.0])
 
     def test_constant_vector_annihilated(self):
